@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <stdexcept>
+
 namespace qs {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -31,17 +33,25 @@ void ThreadPool::slice(std::size_t begin, std::size_t end, std::size_t slices,
 }
 
 void ThreadPool::drain_chunks(const std::function<void(std::size_t)>* body,
-                              std::size_t chunks) {
-  // `body` is dereferenced only after claiming a chunk: a claimed chunk
-  // keeps unfinished_ above zero until its decrement below, and the caller
-  // cannot leave run_chunks() (destroying the function object) before
-  // unfinished_ reaches zero.
+                              std::size_t chunks, std::uint32_t tag) {
+  // `body` is dereferenced only after claiming a chunk of job `tag`: the
+  // claimed chunk keeps unfinished_ above zero until its decrement below,
+  // and the caller cannot leave run_chunks() (destroying the function
+  // object) before unfinished_ reaches zero. A late worker that read job
+  // N's body finds a different tag once job N+1 starts, and claims nothing.
   std::size_t done = 0;
+  std::uint64_t cur = claim_.load(std::memory_order_acquire);
   for (;;) {
-    const std::size_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+    if (static_cast<std::uint32_t>(cur >> 32) != tag) break;
+    const std::size_t c = static_cast<std::size_t>(cur & 0xffffffffu);
     if (c >= chunks) break;
+    if (!claim_.compare_exchange_weak(cur, cur + 1,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+      continue;  // `cur` now holds the fresh value
     (*body)(c);
     ++done;
+    cur = claim_.load(std::memory_order_acquire);
   }
   if (done > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -57,17 +67,21 @@ void ThreadPool::run_chunks(std::size_t chunks,
     for (std::size_t c = 0; c < chunks; ++c) body(c);
     return;
   }
+  if (chunks > 0xffffffffu)
+    throw std::invalid_argument("ThreadPool: more than 2^32 - 1 chunks");
   std::lock_guard<std::mutex> job_lock(job_mutex_);
+  std::uint32_t tag = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     body_ = &body;
     chunks_ = chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
     unfinished_ = chunks;
     ++epoch_;
+    tag = static_cast<std::uint32_t>(epoch_);
+    claim_.store(std::uint64_t{tag} << 32, std::memory_order_release);
   }
   wake_.notify_all();
-  drain_chunks(&body, chunks);
+  drain_chunks(&body, chunks, tag);
   std::unique_lock<std::mutex> lock(mutex_);
   done_.wait(lock, [&] { return unfinished_ == 0; });
   body_ = nullptr;
@@ -78,6 +92,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     const std::function<void(std::size_t)>* body = nullptr;
     std::size_t chunks = 0;
+    std::uint32_t tag = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [&] { return stopping_ || epoch_ != seen; });
@@ -88,9 +103,10 @@ void ThreadPool::worker_loop() {
       if (body_ != nullptr && unfinished_ > 0) {
         body = body_;
         chunks = chunks_;
+        tag = static_cast<std::uint32_t>(epoch_);
       }
     }
-    if (body != nullptr) drain_chunks(body, chunks);
+    if (body != nullptr) drain_chunks(body, chunks, tag);
   }
 }
 

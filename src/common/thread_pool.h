@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -51,7 +52,7 @@ class ThreadPool {
  private:
   void worker_loop();
   void drain_chunks(const std::function<void(std::size_t)>* body,
-                    std::size_t chunks);
+                    std::size_t chunks, std::uint32_t tag);
 
   std::mutex mutex_;
   std::condition_variable wake_;
@@ -59,7 +60,11 @@ class ThreadPool {
   std::uint64_t epoch_ = 0;      ///< bumped per job; workers wait for a change
   std::size_t chunks_ = 0;       ///< chunk count of the current job
   const std::function<void(std::size_t)>* body_ = nullptr;
-  std::atomic<std::size_t> next_chunk_{0};
+  /// Chunk claims, tagged with their job: the high 32 bits hold the job's
+  /// epoch (mod 2^32), the low 32 bits the next unclaimed chunk index. A
+  /// claim is a compare-exchange that also checks the tag, so a worker
+  /// still holding job N's body can never claim a chunk of job N+1.
+  std::atomic<std::uint64_t> claim_{0};
   std::size_t unfinished_ = 0;   ///< chunks not yet completed (under mutex_)
   bool stopping_ = false;
 

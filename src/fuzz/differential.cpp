@@ -1,11 +1,15 @@
 #include "fuzz/differential.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "compiler/platform.h"
 #include "fuzz/shrink.h"
 #include "gateway/client.h"
@@ -291,6 +295,31 @@ std::vector<std::vector<ExecConfig>> DifferentialHarness::lattice(
     });
   }
 
+  // Raw trajectory runs under register embeddings: relabelling the
+  // program's qubits onto scattered positions of a wider register may only
+  // change which amplitudes are exact zeros, so the projected histogram is
+  // the narrow one byte for byte. This pins live-register compaction from
+  // the outside: a wrong physical-to-compact map, a dead qubit drawing RNG
+  // or a bit landing on the wrong key position all break the class.
+  {
+    auto raw = [&sim_config](std::string name, bool fused,
+                             std::size_t threads, std::size_t width) {
+      ExecConfig c = sim_config(std::move(name), fused, threads, false);
+      c.fuse_sequences = false;
+      c.embed_width = width;
+      return c;
+    };
+    const std::size_t n = options_.platform_qubits;
+    classes.push_back({
+        raw("sim/raw/t1/trajectory", false, 1, 0),
+        raw("sim/raw/embed" + std::to_string(2 * n) + "/t1/trajectory",
+            false, 1, 2 * n),
+        raw("sim/raw/embed" + std::to_string(n + 14) +
+                "/fused/t2/trajectory",
+            true, 2, n + 14),
+    });
+  }
+
   // f32 tier: its own equivalence classes (per sampling mode). Internally
   // the tier must be byte-identical across kernels/threads/SIMD backend;
   // against f64 it only has to agree statistically — check() runs a
@@ -435,6 +464,76 @@ Histogram run_kill_restart(const DifferentialHarness::Options& opts,
   return out;
 }
 
+/// `n` distinct qubits of a `width`-qubit register, ascending (so the
+/// relabelling preserves qubit order), all below the compaction guard's
+/// chunk boundary; a pure function of `seed`.
+std::vector<QubitIndex> scattered_positions(std::size_t n, std::size_t width,
+                                            std::uint64_t seed) {
+  const std::size_t limit =
+      std::min<std::size_t>(width, sim::StateVector::kReduceChunkBits);
+  if (n > limit)
+    throw std::invalid_argument("embedding: register too narrow");
+  std::vector<QubitIndex> pool(limit);
+  std::iota(pool.begin(), pool.end(), QubitIndex{0});
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i)
+    std::swap(pool[i], pool[i + rng.uniform_int(limit - i)]);
+  pool.resize(n);
+  std::sort(pool.begin(), pool.end());
+  return pool;
+}
+
+/// Body of an embedding config: `compiled` (for `platform`) relabelled
+/// onto scattered qubits of a `width`-qubit register, run with the narrow
+/// run's seed, model and durations, keys projected back. A key with a bit
+/// set outside the embedded qubits comes back unprojected, behind a
+/// marker, so the class comparison reports it.
+Histogram run_embedded(const compiler::Platform& platform,
+                       const qasm::Program& compiled, std::size_t width,
+                       std::size_t shots, std::uint64_t run_seed,
+                       const sim::SimOptions& so) {
+  using qasm::GateKind;
+  const std::size_t narrow = platform.qubit_count;
+  const std::vector<QubitIndex> pos =
+      scattered_positions(narrow, width, run_seed ^ width);
+  qasm::Program wide(compiled.name(), width);
+  qasm::Circuit& circuit = wide.add_circuit("embedded");
+  for (const qasm::Instruction& instr : compiled.flatten()) {
+    std::vector<BitIndex> conditions;
+    for (BitIndex b : instr.conditions()) conditions.push_back(pos.at(b));
+    if (instr.kind() == GateKind::Display) continue;  // logging only
+    // measure_all and a bare wait span the narrow register: spell them
+    // out on its embedded qubits, in the same (ascending) order.
+    if (instr.kind() == GateKind::MeasureAll) {
+      if (!conditions.empty())
+        throw std::invalid_argument("embedding: conditional measure_all");
+      for (QubitIndex q : pos)
+        circuit.add(qasm::Instruction(GateKind::Measure, {q}));
+      continue;
+    }
+    std::vector<QubitIndex> qubits;
+    for (QubitIndex q : instr.qubits()) qubits.push_back(pos.at(q));
+    if (instr.kind() == GateKind::Wait && qubits.empty()) qubits = pos;
+    qasm::Instruction mapped(instr.kind(), std::move(qubits), instr.angle(),
+                             instr.param_k());
+    mapped.set_conditions(std::move(conditions));
+    circuit.add(std::move(mapped));
+  }
+
+  sim::Simulator simulator(width, platform.qubit_model, run_seed,
+                           platform.durations, so);
+  const Histogram raw = simulator.run(wide, shots).histogram;
+  Histogram projected;
+  for (const auto& [key, count] : raw.counts()) {
+    std::string narrow_key(narrow, '0');
+    for (std::size_t i = 0; i < narrow; ++i) narrow_key[i] = key[pos[i]];
+    const bool stray = std::count(key.begin(), key.end(), '1') !=
+                       std::count(narrow_key.begin(), narrow_key.end(), '1');
+    projected.add(stray ? "dead-qubit-bit-set:" + key : narrow_key, count);
+  }
+  return projected;
+}
+
 /// Two-sample chi-square statistic over the union of keys:
 /// sum over keys of (a - b)^2 / (a + b). Zero iff the histograms agree
 /// exactly; distributed ~chi-square(keys - 1) when both are drawn from
@@ -480,8 +579,15 @@ Histogram DifferentialHarness::run_config(const ExecConfig& config,
         so.min_parallel_qubits = config.min_parallel_qubits;
         so.precision = config.precision;
         so.simd = config.simd;
-        return impl_->compile_authority.run_compiled(
-            impl_->compiled_for(program, text), shots, run_seed, so);
+        so.fuse_sequences = config.fuse_sequences;
+        const compiler::CompileResult& compiled =
+            impl_->compiled_for(program, text);
+        if (config.embed_width > 0)
+          return run_embedded(impl_->compile_authority.platform(),
+                              compiled.program, config.embed_width, shots,
+                              run_seed, so);
+        return impl_->compile_authority.run_compiled(compiled, shots,
+                                                     run_seed, so);
       }
 
       case ExecConfig::Level::kService: {

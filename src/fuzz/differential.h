@@ -15,6 +15,10 @@
 //   * direct sampled runs (eligible circuits): a second class across the
 //     same axes — the sampled and trajectory paths are each deterministic
 //     but differ from each other by design;
+//   * raw (unfused) trajectory runs: one class across register embeddings
+//     — the compiled program relabelled onto scattered, order-preserving
+//     qubits of a wider register, keys projected back, must reproduce the
+//     narrow run byte for byte (the live-register compaction contract);
 //   * f32 runs: their own classes (per sampling mode) — internally
 //     byte-identical across {threads} x {fused} x {SIMD backend}, and
 //     additionally chi-square-checked against the f64 reference
@@ -65,6 +69,14 @@ struct ExecConfig {
   /// Lowered so even the fuzzer's small registers exercise the parallel
   /// kernel partitioning (production default engages at 14 qubits).
   std::size_t min_parallel_qubits = 2;
+  /// Gate-sequence fusion (SimOptions::fuse_sequences). Off runs the raw
+  /// instruction stream, the route live-register compaction serves.
+  bool fuse_sequences = true;
+  /// Embedding axis: when non-zero, the compiled program runs relabelled
+  /// onto scattered, order-preserving qubits (below the compaction
+  /// guard's 16-qubit chunk boundary) of a register this wide, and each
+  /// key is projected back onto the narrow register.
+  std::size_t embed_width = 0;
 
   // --- kService / kGateway knobs -----------------------------------------
   /// Index into the harness's pre-built service set (see harness docs).

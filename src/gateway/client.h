@@ -92,8 +92,11 @@ class GatewayClient {
   Status cancel(std::uint64_t job_id);
 
   /// Streams shard-boundary progress snapshots, invoking `on_update` per
-  /// snapshot, until the job reaches a terminal state. The connection is
-  /// busy for the duration — submit from another client if overlapping.
+  /// snapshot, until the job reaches a terminal state. The last snapshot
+  /// is always the terminal one (every merged shard, the final
+  /// histogram), even for a stream opened after the job finished. The
+  /// connection is busy for the duration — submit from another client if
+  /// overlapping.
   Status stream_progress(
       std::uint64_t job_id,
       const std::function<void(const ProgressUpdate&)>& on_update);

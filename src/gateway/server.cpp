@@ -354,14 +354,16 @@ void GatewayServer::handle_poll(const Socket& sock, const Frame& frame,
 
   PollReply reply;
   reply.done = ready;
-  if (ready) {
-    reply.result = it->second.handle.get();
-    retire(it->second, &reply.result);
-    jobs->erase(it);
-  }
+  if (ready) reply.result = it->second.handle.get();
   Encoder e;
   encode_poll_reply(reply, &e);
   write_frame(sock, Op::kPollOk, e.bytes());
+  // Retire only once the reply is on the wire: a draining shutdown()
+  // closes every connection as soon as the last job is retired.
+  if (ready) {
+    retire(it->second, &reply.result);
+    jobs->erase(it);
+  }
 }
 
 void GatewayServer::handle_cancel(const Socket& sock, const Frame& frame,
@@ -400,6 +402,12 @@ void GatewayServer::handle_stream(const Socket& sock, const Frame& frame,
   }
 
   std::uint64_t last_seq = 0;
+  auto send = [&](const ProgressUpdate& update) {
+    last_seq = update.seq;
+    Encoder e;
+    encode_progress(update, &e);
+    return write_frame(sock, Op::kProgress, e.bytes()).ok();
+  };
   for (;;) {
     if (stopping_.load()) {
       send_error(sock, Status::Unavailable("gateway shutting down"));
@@ -407,26 +415,40 @@ void GatewayServer::handle_stream(const Socket& sock, const Frame& frame,
     }
     if (const auto p = service_.progress(req.job_id);
         p && p->seq > last_seq) {
-      last_seq = p->seq;
       ProgressUpdate update;
       update.job_id = p->job_id;
       update.seq = p->seq;
       update.shards_total = p->shards_total;
       update.shards_done = p->shards_done;
       update.partial = p->partial;
-      Encoder e;
-      encode_progress(update, &e);
-      if (!write_frame(sock, Op::kProgress, e.bytes()).ok()) return;
+      if (!send(update)) return;
       continue;  // drain advances without sleeping
     }
     // Sleep on the handle rather than the clock: completion wakes the
     // stream immediately.
     if (it->second.handle.wait_for(options_.progress_poll) ==
-        std::future_status::ready) {
-      write_frame(sock, Op::kProgressDone, {});
-      return;  // the result itself is fetched through Poll
-    }
+        std::future_status::ready)
+      break;
   }
+  // Terminal snapshot, built from the result: a stream opened after the
+  // job finished (or that lost the race with its last merges) still sees
+  // the final state before ProgressDone. The merge counter ends at one
+  // per merged shard, so the snapshot continues the live sequence; it is
+  // skipped only when the last live snapshot already showed every merge.
+  const runtime::RunResult result = it->second.handle.get();
+  const std::uint64_t merged =
+      result.stats.shards_resumed + result.stats.shards_executed;
+  if (last_seq == 0 || last_seq < merged) {
+    ProgressUpdate terminal;
+    terminal.job_id = req.job_id;
+    terminal.seq = std::max<std::uint64_t>(merged, last_seq + 1);
+    terminal.shards_total = result.stats.shards;
+    terminal.shards_done = merged;
+    terminal.partial = result.histogram;
+    if (!send(terminal)) return;
+  }
+  write_frame(sock, Op::kProgressDone, {});
+  // The result itself is fetched through Poll.
 }
 
 void GatewayServer::handle_metrics(const Socket& sock) {

@@ -5,6 +5,33 @@
 
 namespace qs::microarch {
 
+namespace {
+
+/// The qubits an eQASM program can address: the union of every SMIS and
+/// SMIT mask (bundles reach qubits only through mask registers).
+StateIndex mask_register_qubits(const EqProgram& program,
+                                std::size_t width) {
+  StateIndex live = 0;
+  auto add = [&](QubitIndex q) {
+    // Out-of-register operands keep the full register, so execution
+    // raises its usual error.
+    live |= q < width ? StateIndex{1} << q : ~StateIndex{0};
+  };
+  for (const EqInstruction& i : program.instructions()) {
+    if (i.op == EqOpcode::SMIS) {
+      for (QubitIndex q : i.mask_qubits) add(q);
+    } else if (i.op == EqOpcode::SMIT) {
+      for (const auto& [a, b] : i.mask_pairs) {
+        add(a);
+        add(b);
+      }
+    }
+  }
+  return live;
+}
+
+}  // namespace
+
 Executor::Executor(const compiler::Platform& platform, std::uint64_t seed,
                    sim::SimOptions sim_options)
     : platform_(platform),
@@ -166,6 +193,9 @@ ExecutionResult Executor::run(const EqProgram& program) {
 }
 
 Histogram Executor::run_shots(const EqProgram& program, std::size_t shots) {
+  // Every shot simulates only the qubits the mask registers can name.
+  sim_.declare_live_qubits(
+      mask_register_qubits(program, platform_.qubit_count));
   Histogram hist;
   for (std::size_t s = 0; s < shots; ++s) {
     throw_if_stopped(sim_.options().cancel);

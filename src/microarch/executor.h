@@ -49,7 +49,10 @@ class Executor {
   ExecutionResult run(const EqProgram& program);
 
   /// Multi-shot execution; returns the histogram over MSMT bitstrings
-  /// (q[0] leftmost), resetting the quantum state between shots.
+  /// (q[0] leftmost), resetting the quantum state between shots. The
+  /// back-end simulates only the qubits the program's SMIS/SMIT masks
+  /// name (sim::Simulator::declare_live_qubits); keys still span the
+  /// whole register.
   Histogram run_shots(const EqProgram& program, std::size_t shots);
 
   const AnalogDigitalInterface& adi() const { return adi_; }

@@ -272,6 +272,9 @@ struct QuantumService::JobState {
 
   // Supervision / checkpoint state.
   std::vector<char> shard_done;        ///< guarded by merge_mutex
+  /// Set (under merge_mutex) when finish_shard moves the merged result
+  /// out; progress() reports nothing from then on.
+  bool assembled = false;
   std::uint64_t checkpoint_fp = 0;     ///< 0 = checkpointing off
   std::size_t shards_resumed = 0;      ///< restored at dispatch
   std::atomic<std::size_t> failovers{0};
@@ -744,13 +747,17 @@ void QuantumService::note_failure(const std::shared_ptr<JobState>& job,
 // ----------------------------------------------------------- dispatch ----
 
 void QuantumService::dispatcher_loop() {
+  auto hold_while_paused = [&] {
+    std::unique_lock<std::mutex> lock(control_mutex_);
+    control_cv_.wait(lock, [&] { return !paused_ || closing_; });
+  };
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(control_mutex_);
-      control_cv_.wait(lock, [&] { return !paused_ || closing_; });
-    }
+    hold_while_paused();
     std::optional<std::shared_ptr<JobState>> job = queue_.pop();
     if (!job) return;  // queue closed and drained
+    // pause() may have landed while this thread was blocked in pop(): the
+    // popped job waits for resume() like the ones still queued.
+    hold_while_paused();
     metrics_.gauge("qs_queue_depth")
         .set(static_cast<std::int64_t>(queue_.size()));
     dispatch(*job);
@@ -1525,6 +1532,7 @@ void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
   {
     // progress() snapshots may still be racing the final shard.
     std::lock_guard<std::mutex> lock(job->merge_mutex);
+    job->assembled = true;
     result.status = job->status;
     result.histogram = std::move(job->merged);
     result.best_solution = std::move(job->best_solution);
@@ -1597,6 +1605,7 @@ std::optional<JobProgress> QuantumService::progress(
   JobProgress p;
   p.job_id = job_id;
   std::lock_guard<std::mutex> lock(job->merge_mutex);
+  if (job->assembled) return std::nullopt;  // terminal: see the result
   p.seq = job->progress_seq.load(std::memory_order_relaxed);
   p.shards_total = job->shards;
   for (char d : job->shard_done) p.shards_done += d ? 1 : 0;

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,24 +104,58 @@ struct RunResult {
   FusionStats fusion;           ///< gate-fusion stats (zero when unfused)
 };
 
+/// Mask of the qubits a flattened stream names (bit q = qubit q): the
+/// operands of every instruction except barriers. `measure_all`, `display`
+/// and a bare `wait` name every qubit of the `width`-qubit register, and
+/// so does an operand outside it (the run then raises its usual error).
+StateIndex live_qubit_mask(const std::vector<qasm::Instruction>& flat,
+                           std::size_t width);
+
+/// Live-register compaction (docs/simulator.md): a simulator whose live
+/// set was declared holds a state over only those qubits, renumbered in
+/// increasing physical order. Dead qubits are exact |0> factors that no
+/// instruction touches and no RNG draw concerns, and the kernels act
+/// elementwise in basis order, so every amplitude, reduction and draw is
+/// the one a full-width run produces. bits(), histogram keys and state()
+/// always span the whole register.
 class Simulator {
  public:
   /// Creates a simulator over `qubit_count` qubits with the given qubit
-  /// quality model, RNG seed and kernel options.
+  /// quality model, RNG seed and kernel options. Throws when the full
+  /// register would exceed the state budget; the state itself is
+  /// allocated on first use, at the width the first run needs.
   explicit Simulator(std::size_t qubit_count,
                      QubitModel model = QubitModel::perfect(),
                      std::uint64_t seed = 1,
                      GateDurations durations = GateDurations{},
                      SimOptions options = SimOptions{});
 
-  std::size_t qubit_count() const { return state_.qubit_count(); }
+  /// Register width: bits(), histogram keys and state() span this many.
+  std::size_t qubit_count() const { return width_; }
+
+  /// Qubits the state vector currently holds: the register width, or the
+  /// live-set size while compacted (0 before the first allocation).
+  std::size_t simulated_qubit_count() const {
+    return state_ ? state_->qubit_count() : 0;
+  }
   const QubitModel& qubit_model() const { return model_; }
 
   /// Effective kernel options (threads resolved; see resolve_sim_threads).
   const SimOptions& options() const { return options_; }
 
-  /// Resets state and classical bits to all-zero.
+  /// Resets state and classical bits to all-zero (keeps the current
+  /// live set).
   void reset();
+
+  /// Resets, then sizes the state to the qubits in `live` (bit q = qubit
+  /// q; see live_qubit_mask). Compaction applies only when it is exact:
+  /// the register has at most StateVector::kReduceChunkBits qubits, or no
+  /// live qubit lies at or above that index — otherwise a full-width
+  /// reduction would sum over several chunks, in a different order from
+  /// the compact single-chunk sum. Any other mask selects the full
+  /// register. Instructions naming a dead qubit later still run exactly:
+  /// the state first widens to the full register.
+  void declare_live_qubits(StateIndex live);
 
   /// Executes a single instruction against the live state. Returns false
   /// for a conditional instruction whose condition bits were not all 1.
@@ -160,8 +195,10 @@ class Simulator {
       const FusedProgram* fused = nullptr);
 
   /// Live state access (inspection after run_once; tests and QAOA use it).
-  StateVector& state() { return state_; }
-  const StateVector& state() const { return state_; }
+  /// Always the full register: a compacted state widens first (the
+  /// register's logical state is unchanged, so the const form may too).
+  StateVector& state() { return full_state(); }
+  const StateVector& state() const { return full_state(); }
 
   /// Classical measurement-bit register (bit i paired with qubit i).
   const std::vector<int>& bits() const { return bits_; }
@@ -172,11 +209,30 @@ class Simulator {
   std::size_t gates_executed() const { return gates_executed_; }
 
  private:
-  void apply_unitary(const qasm::Instruction& instr);
-  bool apply_fused(const qasm::Instruction& instr);
+  void apply_unitary(const qasm::Instruction& instr,
+                     const std::vector<QubitIndex>& q);
+  bool apply_fused(const qasm::Instruction& instr,
+                   const std::vector<QubitIndex>& q);
   void execute_fused_op(const FusedOp& op);
 
-  StateVector state_;
+  /// Replaces the state with |0...0> over `qubits` qubits.
+  void allocate(std::size_t qubits) const;
+  /// The state at its current width, allocated full-width if absent.
+  StateVector& current_state() const;
+  /// The state over the whole register; a compacted state is embedded
+  /// (amplitude c moves to the index that scatters c's bits onto live_).
+  StateVector& full_state() const;
+  /// `instr`'s operands as state indices (widening first when it names a
+  /// dead qubit or the whole register).
+  const std::vector<QubitIndex>& operands(const qasm::Instruction& instr);
+
+  // Mutable: allocation and widening change the representation of the
+  // register state, never its value.
+  std::size_t width_;
+  mutable std::optional<StateVector> state_;
+  mutable std::vector<QubitIndex> live_;     ///< compact -> qubit; empty: full
+  mutable std::vector<QubitIndex> compact_;  ///< qubit -> compact index
+  std::vector<QubitIndex> operand_scratch_;
   QubitModel model_;
   std::unique_ptr<ErrorModel> errors_;
   GateDurations durations_;

@@ -6,16 +6,6 @@
 
 namespace qs::sim {
 
-namespace {
-
-// Fixed reduction granularity: 2^16 amplitudes per chunk. Chunk boundaries
-// depend only on the state size — never on the thread count — so partial
-// sums combine in the same order however the chunks are scheduled. States
-// up to 16 qubits are a single chunk, i.e. a plain left-to-right sum.
-constexpr StateIndex kReduceChunkBits = 16;
-
-}  // namespace
-
 // Dispatches a kernel-table entry to the active precision's storage. The
 // table pointer (scalar vs AVX2 backend) was fixed at construction.
 #define QS_KERNEL(fn, ...)                                  \
@@ -27,13 +17,12 @@ constexpr StateIndex kReduceChunkBits = 16;
        ? k32_->fn(re32_.data(), im32_.data(), __VA_ARGS__)  \
        : k64_->fn(re_.data(), im_.data(), __VA_ARGS__))
 
-StateVector::StateVector(std::size_t qubit_count, Precision precision,
-                         std::size_t max_state_bytes, SimdMode simd)
-    : n_(qubit_count), prec_(precision), simd_(simd_selected(simd)) {
+void StateVector::check_size(std::size_t qubit_count, Precision precision,
+                             std::size_t max_state_bytes) {
   if (qubit_count == 0)
     throw std::invalid_argument("StateVector: need at least one qubit");
   if (max_state_bytes == 0) max_state_bytes = kDefaultMaxStateBytes;
-  const std::size_t bpa = bytes_per_amplitude(prec_);
+  const std::size_t bpa = bytes_per_amplitude(precision);
   // 2^58 amplitudes already exceed any addressable budget; guarding here
   // keeps the byte computation below from overflowing.
   const bool over = qubit_count >= 58 ||
@@ -43,12 +32,18 @@ StateVector::StateVector(std::size_t qubit_count, Precision precision,
                                         static_cast<int>(qubit_count));
     throw std::invalid_argument(
         "StateVector: " + std::to_string(qubit_count) + " qubits at " +
-        std::string(to_string(prec_)) + " needs " +
+        std::string(to_string(precision)) + " needs " +
         std::to_string(static_cast<unsigned long long>(requested)) +
         " bytes, exceeding the " + std::to_string(max_state_bytes) +
         "-byte state budget (raise SimOptions::max_state_bytes or drop to "
         "f32)");
   }
+}
+
+StateVector::StateVector(std::size_t qubit_count, Precision precision,
+                         std::size_t max_state_bytes, SimdMode simd)
+    : n_(qubit_count), prec_(precision), simd_(simd_selected(simd)) {
+  check_size(qubit_count, precision, max_state_bytes);
   dim_ = StateIndex{1} << n_;
   if (simd_) {
     k64_ = avx2_kernels_f64();

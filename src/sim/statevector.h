@@ -47,6 +47,13 @@ class StateVector {
   /// 29 qubits at f32.
   static constexpr std::size_t kDefaultMaxStateBytes = std::size_t{4} << 30;
 
+  /// Fixed reduction granularity: 2^16 amplitudes per chunk. Chunk
+  /// boundaries depend only on the state size — never on the thread count
+  /// — so partial sums combine in the same order however the chunks are
+  /// scheduled. States up to 16 qubits are a single chunk, i.e. a plain
+  /// left-to-right sum.
+  static constexpr QubitIndex kReduceChunkBits = 16;
+
   /// Initialises |0...0> on `qubit_count` qubits at the given precision.
   /// Throws std::invalid_argument when the state would exceed
   /// `max_state_bytes` (0 = use the default budget); the message reports
@@ -55,6 +62,11 @@ class StateVector {
                        Precision precision = Precision::kF64,
                        std::size_t max_state_bytes = kDefaultMaxStateBytes,
                        SimdMode simd = SimdMode::kAuto);
+
+  /// Throws exactly what the constructor would for these arguments,
+  /// without allocating anything.
+  static void check_size(std::size_t qubit_count, Precision precision,
+                         std::size_t max_state_bytes);
 
   std::size_t qubit_count() const { return n_; }
   std::size_t dimension() const { return static_cast<std::size_t>(dim_); }

@@ -720,9 +720,10 @@ TEST(GatewayEndToEnd, StreamProgressDeliversShardSnapshots) {
   ASSERT_TRUE(result->status.ok());
   EXPECT_EQ(result->histogram.total(), 2048u);
 
-  // 2048 shots / 64-shot shards = 32 shard boundaries; the stream must
-  // have caught at least one intermediate snapshot, monotone in seq, with
-  // a partial histogram that never exceeds the final total.
+  // 2048 shots / 64-shot shards = 32 shard boundaries. However early or
+  // late the stream attached, it delivers snapshots monotone in seq, each
+  // a partial histogram of whole shards, and ends with the terminal
+  // snapshot: every shard merged, partial equal to the final histogram.
   ASSERT_FALSE(updates.empty());
   std::uint64_t prev_seq = 0;
   for (const auto& u : updates) {
@@ -733,6 +734,35 @@ TEST(GatewayEndToEnd, StreamProgressDeliversShardSnapshots) {
     EXPECT_LE(u.partial.total(), 2048u);
     EXPECT_EQ(u.partial.total(), u.shards_done * 64u);
   }
+  EXPECT_EQ(updates.back().shards_done, 32u);
+  EXPECT_EQ(updates.back().partial.counts(), result->histogram.counts());
+}
+
+TEST(GatewayEndToEnd, StreamOpenedAfterCompletionGetsTerminalSnapshot) {
+  service::ServiceOptions sopts;
+  sopts.shard_shots = 64;
+  LiveGateway gw(sopts);
+  GatewayClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", gw.server.port()).ok());
+
+  const auto id = client.submit(
+      runtime::RunRequest::gate_source(ghz_source(4), 256, /*seed=*/5));
+  ASSERT_TRUE(id.ok());
+  gw.svc.drain();  // finished before the stream opens
+
+  std::vector<ProgressUpdate> updates;
+  ASSERT_TRUE(client
+                  .stream_progress(*id, [&](const ProgressUpdate& u) {
+                    updates.push_back(u);
+                  })
+                  .ok());
+  const auto result = client.wait(*id);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0].seq, 4u);
+  EXPECT_EQ(updates[0].shards_total, 4u);
+  EXPECT_EQ(updates[0].shards_done, 4u);
+  EXPECT_EQ(updates[0].partial.counts(), result->histogram.counts());
 }
 
 TEST(GatewayEndToEnd, MetricsOpExposesHistogramsAndTenantFamilies) {

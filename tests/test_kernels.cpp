@@ -4,9 +4,12 @@
 // measurement streams for a fixed seed.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -74,6 +77,42 @@ TEST(ThreadPool, BackToBackJobsDoNotInterfere) {
     pool.run_chunks(8, [&](std::size_t c) { sum.fetch_add(c + 1); });
     EXPECT_EQ(sum.load(), 36u);
   }
+}
+
+TEST(ThreadPool, ReuseStressWithFreshBodies) {
+  // Regression for the reuse race: a worker that read job N's body late
+  // must never run it on a chunk of job N+1. Every job gets a fresh
+  // heap-allocated body that flags any call after its job returned; the
+  // last few jobs stay allocated so such a call is counted here, and an
+  // older one is a use-after-free under ASan. A stolen chunk also leaves
+  // the new job's own sum short. More lanes than cores make a worker
+  // likely to be preempted inside the claim window.
+  struct Job {
+    std::atomic<std::size_t> sum{0};
+    std::atomic<bool> returned{false};
+    std::function<void(std::size_t)> body;
+  };
+  ThreadPool pool(8);
+  constexpr std::size_t kJobs = 2'000'000;
+  constexpr std::size_t kChunks = 3;
+  std::array<std::unique_ptr<Job>, 8> recent;
+  std::atomic<std::size_t> late_calls{0};
+  std::size_t wrong_sums = 0;
+  for (std::size_t n = 0; n < kJobs; ++n) {
+    auto& slot = recent[n % recent.size()];
+    slot = std::make_unique<Job>();
+    Job* job = slot.get();
+    job->body = [job, n, &late_calls](std::size_t c) {
+      if (job->returned.load(std::memory_order_acquire))
+        late_calls.fetch_add(1, std::memory_order_relaxed);
+      job->sum.fetch_add(n + c, std::memory_order_relaxed);
+    };
+    pool.run_chunks(kChunks, job->body);
+    job->returned.store(true, std::memory_order_release);
+    wrong_sums += job->sum.load() != kChunks * n + 3;
+  }
+  EXPECT_EQ(late_calls.load(), 0u);
+  EXPECT_EQ(wrong_sums, 0u);
 }
 
 TEST(ThreadPool, ConcurrentCallersAreSerialized) {
