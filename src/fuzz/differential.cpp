@@ -83,7 +83,6 @@ std::string Divergence::to_string() const {
 struct DifferentialHarness::Impl {
   GateAccelerator compile_authority;
   std::vector<std::unique_ptr<service::QuantumService>> services;
-  std::shared_ptr<service::InMemoryCheckpointStore> checkpoints;
 
   /// Disk-backed artifact store for the kSvcStore service; the directory
   /// is private to this harness instance and removed on teardown.
@@ -164,9 +163,10 @@ DifferentialHarness::DifferentialHarness(Options options)
   impl_->services[kSvcOffW2] = std::make_unique<service::QuantumService>(
       gate(), make_options(2, false));
 
-  impl_->checkpoints = std::make_shared<service::InMemoryCheckpointStore>();
   service::ServiceOptions resume_opts = make_options(1, true);
-  resume_opts.checkpoint_store = impl_->checkpoints;
+  resume_opts.checkpoint_store =
+      std::make_shared<service::StoreCheckpointStore>(
+          std::make_shared<store::ArtifactStore>());
   resume_opts.max_shard_retries = 0;  // the injected kill fails fast
   impl_->services[kSvcResume] = std::make_unique<service::QuantumService>(
       gate(), std::move(resume_opts));

@@ -159,10 +159,11 @@ struct RunRequest {
   std::uint64_t session = 0;
 
   /// Crash-safe checkpoint/resume key. When non-empty and the service has a
-  /// CheckpointStore configured, merged partial histograms plus the shard
-  /// cursor are snapshotted after every completed shard, and a resubmitted
-  /// job with the same key (and an unchanged payload/seed/shot plan)
-  /// re-runs only the unfinished shards.
+  /// StoreCheckpointStore configured (explicitly, or auto-wired by a
+  /// store_dir), merged partial histograms plus the shard cursor are
+  /// snapshotted after every completed shard, and a resubmitted job with
+  /// the same key (and an unchanged payload/seed/shot plan) re-runs only
+  /// the unfinished shards.
   std::string checkpoint_key;
 
   /// Client-supplied exactly-once key. When non-empty, resubmitting the

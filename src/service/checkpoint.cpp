@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "service/job.h"
+
 namespace qs::service {
 
 namespace {
@@ -64,7 +66,8 @@ StatusOr<JobCheckpoint> JobCheckpoint::deserialize(const std::string& text) {
       if (!(fields >> cp.fingerprint)) return malformed(line);
       saw_fingerprint = true;
     } else if (tag == "shards") {
-      if (!(fields >> cp.shards)) return malformed(line);
+      if (!(fields >> cp.shards) || cp.shards > kMaxShards)
+        return malformed(line);
       cp.shard_done.assign(cp.shards, 0);
       saw_shards = true;
     } else if (tag == "done") {
@@ -101,42 +104,6 @@ StatusOr<JobCheckpoint> JobCheckpoint::deserialize(const std::string& text) {
   return cp;
 }
 
-// ------------------------------------------------------------ in-memory ----
-
-Status InMemoryCheckpointStore::save(const std::string& key,
-                                     const JobCheckpoint& cp) {
-  std::string text = cp.serialize();
-  std::lock_guard<std::mutex> lock(mutex_);
-  snapshots_[key] = std::move(text);
-  return Status::Ok();
-}
-
-std::optional<JobCheckpoint> InMemoryCheckpointStore::load(
-    const std::string& key) {
-  std::string text;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = snapshots_.find(key);
-    if (it == snapshots_.end()) return std::nullopt;
-    text = it->second;
-  }
-  StatusOr<JobCheckpoint> cp = JobCheckpoint::deserialize(text);
-  if (!cp.ok()) return std::nullopt;
-  return std::move(*cp);
-}
-
-void InMemoryCheckpointStore::remove(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  snapshots_.erase(key);
-}
-
-std::size_t InMemoryCheckpointStore::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return snapshots_.size();
-}
-
-// --------------------------------------------------------- store-backed ----
-
 StoreCheckpointStore::StoreCheckpointStore(
     std::shared_ptr<store::ArtifactStore> store)
     : store_(std::move(store)) {
@@ -169,36 +136,6 @@ std::optional<JobCheckpoint> StoreCheckpointStore::load(
 
 void StoreCheckpointStore::remove(const std::string& key) {
   store_->remove(store::ArtifactKey::checkpoint(key));
-}
-
-// ---------------------------------------------------------- file-backed ----
-
-FileCheckpointStore::FileCheckpointStore(std::string directory)
-    : directory_(std::move(directory)),
-      inner_(std::make_shared<store::ArtifactStore>(store::StoreOptions{
-          /*memory_budget_bytes=*/1, directory_})) {
-  // The inner store creates the directory; a failure surfaces as a save()
-  // error, so construction stays noexcept and an operator typo cannot
-  // take the service down. The 1-byte memory budget is irrelevant — the
-  // checkpoint path bypasses the memory tier on disk-backed stores.
-}
-
-std::string FileCheckpointStore::path_for(const std::string& key) const {
-  return inner_.store().path_for(store::ArtifactKey::checkpoint(key));
-}
-
-Status FileCheckpointStore::save(const std::string& key,
-                                 const JobCheckpoint& cp) {
-  return inner_.save(key, cp);
-}
-
-std::optional<JobCheckpoint> FileCheckpointStore::load(
-    const std::string& key) {
-  return inner_.load(key);
-}
-
-void FileCheckpointStore::remove(const std::string& key) {
-  inner_.remove(key);
 }
 
 }  // namespace qs::service

@@ -13,9 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,34 +51,6 @@ struct JobCheckpoint {
   static StatusOr<JobCheckpoint> deserialize(const std::string& text);
 };
 
-/// Where snapshots live. Implementations must be safe to call from
-/// concurrent shard workers (the service serialises saves per job, but
-/// different jobs checkpoint in parallel).
-class CheckpointStore {
- public:
-  virtual ~CheckpointStore() = default;
-
-  virtual Status save(const std::string& key, const JobCheckpoint& cp) = 0;
-  virtual std::optional<JobCheckpoint> load(const std::string& key) = 0;
-  virtual void remove(const std::string& key) = 0;
-};
-
-/// Process-local store: survives service restarts within one process
-/// (tests, embedded deployments). Stores the serialized text so the
-/// serialize/deserialize round trip is always exercised.
-class InMemoryCheckpointStore final : public CheckpointStore {
- public:
-  Status save(const std::string& key, const JobCheckpoint& cp) override;
-  std::optional<JobCheckpoint> load(const std::string& key) override;
-  void remove(const std::string& key) override;
-
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::string> snapshots_;
-};
-
 /// Checkpoints as ArtifactStore entries: the snapshot text rides the
 /// store's verified on-disk layout (tmp+rename atomicity, magic + length
 /// + checksum on load), making the checkpoint store one more artifact
@@ -88,16 +58,17 @@ class InMemoryCheckpointStore final : public CheckpointStore {
 /// disk tier, saves and loads bypass the memory tier so every load
 /// observes the durable bytes (torn-write detection stays honest); on a
 /// memory-only store snapshots live in the shared LRU tier instead
-/// (process-local resume, like InMemoryCheckpointStore — eviction just
-/// means a resume starts fresh).
-class StoreCheckpointStore final : public CheckpointStore {
+/// (process-local resume; eviction just means a resume starts fresh).
+/// Safe to call from concurrent shard workers: the service serialises
+/// saves per job, and different jobs checkpoint in parallel.
+class StoreCheckpointStore {
  public:
   /// Throws std::invalid_argument on a null store (wiring bug).
   explicit StoreCheckpointStore(std::shared_ptr<store::ArtifactStore> store);
 
-  Status save(const std::string& key, const JobCheckpoint& cp) override;
-  std::optional<JobCheckpoint> load(const std::string& key) override;
-  void remove(const std::string& key) override;
+  Status save(const std::string& key, const JobCheckpoint& cp);
+  std::optional<JobCheckpoint> load(const std::string& key);
+  void remove(const std::string& key);
 
   const store::ArtifactStore& store() const { return *store_; }
 
@@ -105,30 +76,6 @@ class StoreCheckpointStore final : public CheckpointStore {
   bool use_memory_tier() const { return !store_->disk_enabled(); }
 
   std::shared_ptr<store::ArtifactStore> store_;
-};
-
-/// File-backed store: one verified store entry per key under `directory`,
-/// written tmp-then-rename so a crash mid-save never leaves a torn
-/// snapshot. A thin compatibility wrapper over StoreCheckpointStore with
-/// a private disk-only ArtifactStore — kept because "point checkpoints at
-/// a directory" is the natural operator-facing configuration.
-class FileCheckpointStore final : public CheckpointStore {
- public:
-  /// Creates `directory` if missing.
-  explicit FileCheckpointStore(std::string directory);
-
-  Status save(const std::string& key, const JobCheckpoint& cp) override;
-  std::optional<JobCheckpoint> load(const std::string& key) override;
-  void remove(const std::string& key) override;
-
-  const std::string& directory() const { return directory_; }
-
-  /// The on-disk path a key maps to (for tests / operators).
-  std::string path_for(const std::string& key) const;
-
- private:
-  std::string directory_;
-  StoreCheckpointStore inner_;
 };
 
 }  // namespace qs::service

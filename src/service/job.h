@@ -75,8 +75,15 @@ class JobHandle {
 
 /// Number of fixed-size shards a job of `shots` splits into. Shard size is
 /// a service constant, never a function of worker count — this is what
-/// keeps merged histograms bit-identical across pool sizes.
+/// keeps merged histograms bit-identical across pool sizes. Exact for every
+/// `shots`, including values near SIZE_MAX.
 std::size_t shard_count(std::size_t shots, std::size_t shard_shots);
+
+/// Most shards one job may plan. Per-shard bookkeeping (done flags, worker
+/// tasks, checkpoint lines) is sized up front from a client-chosen shot
+/// count, so submission refuses a larger plan and a checkpoint claiming
+/// more shards is refused on load.
+inline constexpr std::size_t kMaxShards = std::size_t{1} << 20;
 
 /// Point-in-time snapshot of a running job's merge state, taken at shard
 /// granularity: `partial` holds the histogram of every shard merged so

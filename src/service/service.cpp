@@ -53,15 +53,18 @@ std::shared_ptr<BackendPool> make_single_pool(
   return pool;
 }
 
-/// Identity of a checkpointed shard plan: payload content, base seed, total
-/// shots and shard size. A resumed submission must match all four — any
-/// change re-derives different shard streams, so merging stale partials
-/// would corrupt the histogram.
-std::uint64_t checkpoint_fingerprint(const RunRequest& req,
-                                     std::size_t shard_shots) {
+/// Identity of a request's shard plan: gate payload text (or the QUBO
+/// terms), base seed, total shots, shard size and precision tier. It keys
+/// checkpoints, where a resume must match all five (any change re-derives
+/// different shard streams, so merging stale partials would corrupt the
+/// histogram), and idempotency registrations, where a retrying client must
+/// send the same request. Snapshots on disk carry these exact bits.
+std::uint64_t plan_fingerprint(const RunRequest& req,
+                               const std::string& gate_text,
+                               std::size_t shard_shots) {
   std::uint64_t h = 0;
   if (req.kind() == JobKind::Gate) {
-    h = fnv1a64(qasm::to_cqasm(*req.program));
+    h = fnv1a64(gate_text);
   } else {
     std::ostringstream payload;
     payload << "qubo " << req.qubo->size();
@@ -79,31 +82,16 @@ std::uint64_t checkpoint_fingerprint(const RunRequest& req,
   return h;
 }
 
-/// Identity of a request for exactly-once: same ingredients as
-/// checkpoint_fingerprint but computable before parsing — a raw-source
+/// Exactly-once identity, computable before parsing: a raw-source
 /// submission hashes as submitted, which is exactly the byte string a
 /// retrying client sends again.
 std::uint64_t request_fingerprint(const RunRequest& req,
                                   std::size_t shard_shots) {
-  std::uint64_t h = 0;
-  if (req.kind() == JobKind::Gate) {
-    h = fnv1a64(req.program_text ? *req.program_text
-                                 : qasm::to_cqasm(*req.program));
-  } else {
-    std::ostringstream payload;
-    payload << "qubo " << req.qubo->size();
-    for (const auto& [ij, w] : req.qubo->terms())
-      payload << ' ' << ij.first << ',' << ij.second << '='
-              << std::hexfloat << w;
-    h = fnv1a64(payload.str());
-  }
-  h = hash_combine(h, req.seed);
-  h = hash_combine(h, req.shots);
-  h = hash_combine(h, shard_shots);
-  // Same rationale as checkpoint_fingerprint: a different precision tier
-  // is a different result, so it is a different request.
-  h = hash_combine(h, static_cast<std::uint64_t>(req.precision));
-  return h;
+  if (req.program_text)
+    return plan_fingerprint(req, *req.program_text, shard_shots);
+  return plan_fingerprint(
+      req, req.program ? qasm::to_cqasm(*req.program) : std::string(),
+      shard_shots);
 }
 
 runtime::CrashPoint crash_point_of(const RunRequest& req) {
@@ -113,6 +101,17 @@ runtime::CrashPoint crash_point_of(const RunRequest& req) {
 Status crash_status(runtime::CrashPoint point) {
   return Status::Unavailable(std::string("injected crash at ") +
                              runtime::to_string(point) + " (FaultPlan)");
+}
+
+/// Refuses a shot count whose shard plan exceeds kMaxShards: the plan's
+/// bookkeeping is allocated at dispatch, and the shot count comes from the
+/// client.
+Status check_shard_plan(const RunRequest& req, std::size_t shard_shots) {
+  if (shard_count(req.shots, shard_shots) <= kMaxShards) return Status::Ok();
+  return Status::InvalidArgument(
+      "RunRequest: " + std::to_string(req.shots) + " shots need more than " +
+      std::to_string(kMaxShards) + " shards of " +
+      std::to_string(shard_shots) + " shots");
 }
 
 /// Sanity gate every shard result passes before it may merge: counts sum
@@ -220,6 +219,29 @@ Status ServiceOptions::validate() const {
   return Status::Ok();
 }
 
+/// Best-of-N reduction for anneal jobs. Lower energy wins; equal energies
+/// go to the lower read index, so the result is the same however reads are
+/// grouped into shards and whatever order the shards merge in.
+struct BestRead {
+  bool has = false;
+  double energy = 0.0;
+  std::uint64_t read = 0;
+  std::vector<int> solution;
+
+  void offer(double e, std::uint64_t r, std::vector<int> s) {
+    if (has && !(e < energy || (e == energy && r < read))) return;
+    has = true;
+    energy = e;
+    read = r;
+    solution = std::move(s);
+  }
+};
+
+struct QuantumService::ShardOutput {
+  Histogram histogram;
+  BestRead best;
+};
+
 /// Per-job bookkeeping shared between the dispatcher and shard tasks.
 struct QuantumService::JobState {
   std::uint64_t id = 0;
@@ -240,24 +262,21 @@ struct QuantumService::JobState {
 
   // Sampling fast path (gate jobs whose trajectory is shot-deterministic).
   // The distribution is materialised at most once per job — by the first
-  // shard to reach it, under dist_once — and shared read-only; call_once
+  // shard to reach it, under dist_mutex — and shared read-only; the mutex
   // synchronises the fields below for every other shard.
   bool sampled = false;             ///< decided at dispatch
   std::uint64_t final_key = 0;      ///< FinalStateCache key
-  std::once_flag dist_once;
-  std::shared_ptr<const sim::FinalDistribution> final_dist;
-  bool final_cache_hit = false;     ///< written under dist_once
-  runtime::CacheTier final_tier = runtime::CacheTier::kNone;  // dist_once
+  std::mutex dist_mutex;
+  std::shared_ptr<const sim::FinalDistribution> final_dist;  // dist_mutex
+  bool final_cache_hit = false;     ///< written under dist_mutex
+  runtime::CacheTier final_tier = runtime::CacheTier::kNone;  // dist_mutex
 
   // Shard merge state. Histogram addition is commutative, so taking the
   // merge mutex in arbitrary shard-completion order still yields a
   // deterministic merged result.
   std::mutex merge_mutex;
   Histogram merged;
-  bool has_best = false;
-  double best_energy = 0.0;
-  std::uint64_t best_read = 0;
-  std::vector<int> best_solution;
+  BestRead best;  ///< anneal jobs only
   Status status;  // first failure wins; guarded by merge_mutex
 
   /// Set alongside a failure status: remaining shards skip their work
@@ -427,6 +446,8 @@ JobHandle QuantumService::try_submit(RunRequest request) {
 JobHandle QuantumService::submit_impl(RunRequest request, bool blocking) {
   const std::string tenant = tenant_of(request);
   if (Status v = request.validate(); !v.ok())
+    return rejected_handle(std::move(v), tenant);
+  if (Status v = check_shard_plan(request, options_.shard_shots); !v.ok())
     return rejected_handle(std::move(v), tenant);
   if (request.qubo && !backends_->primary(runtime::JobKind::Anneal))
     return rejected_handle(Status::FailedPrecondition(
@@ -700,7 +721,12 @@ void QuantumService::recover_from_journal() {
       std::lock_guard<std::mutex> lock(idemp_mutex_);
       idempotency_[job->idemp_key] = std::move(entry);
     }
-    if (queue_.try_push(job, job->request.priority, job->tenant)) {
+    if (Status v = check_shard_plan(job->request, options_.shard_shots);
+        !v.ok()) {
+      // The journal may come from a service with a larger shard size; a
+      // plan this one refuses fails terminally instead of recurring.
+      resolve_unadmitted(job, std::move(v));
+    } else if (queue_.try_push(job, job->request.priority, job->tenant)) {
       ++recovered;
     } else {
       // Over-capacity recovery (this process has a smaller queue than the
@@ -900,7 +926,9 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
   // submission with the same key, provided the fingerprint proves the
   // payload/seed/shot/shard plan is unchanged. Anything else starts fresh.
   if (!req.checkpoint_key.empty() && options_.checkpoint_store) {
-    job->checkpoint_fp = checkpoint_fingerprint(req, options_.shard_shots);
+    job->checkpoint_fp = plan_fingerprint(
+        req, req.program ? qasm::to_cqasm(*req.program) : std::string(),
+        options_.shard_shots);
     std::optional<JobCheckpoint> cp =
         options_.checkpoint_store->load(req.checkpoint_key);
     if (cp && cp->fingerprint == job->checkpoint_fp &&
@@ -908,10 +936,8 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
       std::lock_guard<std::mutex> lock(job->merge_mutex);
       job->merged = std::move(cp->merged);
       job->shard_done = std::move(cp->shard_done);
-      job->has_best = cp->has_best;
-      job->best_energy = cp->best_energy;
-      job->best_read = cp->best_read;
-      job->best_solution = std::move(cp->best_solution);
+      job->best = {cp->has_best, cp->best_energy, cp->best_read,
+                   std::move(cp->best_solution)};
       for (char d : job->shard_done) job->shards_resumed += d ? 1 : 0;
       if (job->shards_resumed > 0) {
         metrics_.counter("qs_shards_resumed_total")
@@ -939,15 +965,8 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
   }
 
   job->remaining.store(pending.size(), std::memory_order_relaxed);
-  const bool is_gate = req.kind() == JobKind::Gate;
-  for (std::size_t i : pending) {
-    pool_.submit([this, job, i, is_gate] {
-      if (is_gate)
-        run_gate_shard(job, i);
-      else
-        run_anneal_shard(job, i);
-    });
-  }
+  for (std::size_t i : pending)
+    pool_.submit([this, job, i] { run_shard(job, i); });
 }
 
 void QuantumService::record_store_outcome(const store::Outcome& outcome) {
@@ -1062,10 +1081,10 @@ void QuantumService::save_checkpoint_locked(JobState& job) {
   cp.shards = job.shards;
   cp.shard_done = job.shard_done;
   cp.merged = job.merged;
-  cp.has_best = job.has_best;
-  cp.best_energy = job.best_energy;
-  cp.best_read = job.best_read;
-  cp.best_solution = job.best_solution;
+  cp.has_best = job.best.has;
+  cp.best_energy = job.best.energy;
+  cp.best_read = job.best.read;
+  cp.best_solution = job.best.solution;
   if (options_.checkpoint_store->save(job.request.checkpoint_key, cp).ok())
     metrics_.counter("qs_checkpoint_saves_total").inc();
   else
@@ -1074,57 +1093,122 @@ void QuantumService::save_checkpoint_locked(JobState& job) {
 
 void QuantumService::ensure_final_distribution(
     const std::shared_ptr<JobState>& job, const CancelToken& token) {
-  // call_once: on a thrown CancelledError the flag stays unset, so a
-  // retried attempt (or another shard) re-runs the lookup/evolution under
-  // its own token instead of every shard inheriting the failure.
-  std::call_once(job->dist_once, [&] {
-    const bool cache_on = options_.final_state_cache_enabled;
-    if (cache_on) {
-      store::Outcome outcome;
-      auto dist = final_cache_.lookup(job->final_key, &outcome);
-      record_store_outcome(outcome);
-      if (dist) {
-        metrics_.counter("qs_final_state_cache_hits_total").inc();
-        job->final_cache_hit = true;
-        job->final_tier = to_cache_tier(outcome.tier);
-        job->final_dist = std::move(dist);
-        return;
-      }
-      metrics_.counter("qs_final_state_cache_misses_total").inc();
+  // On a thrown CancelledError final_dist stays unset, so a retried
+  // attempt (or another shard) re-runs the lookup/evolution under its own
+  // token instead of every shard inheriting the failure. A mutex, not
+  // std::call_once: an exception leaving call_once's callable hangs every
+  // later caller under ThreadSanitizer's pthread_once interceptor.
+  std::lock_guard<std::mutex> lock(job->dist_mutex);
+  if (job->final_dist) return;
+  const bool cache_on = options_.final_state_cache_enabled;
+  if (cache_on) {
+    store::Outcome outcome;
+    auto dist = final_cache_.lookup(job->final_key, &outcome);
+    record_store_outcome(outcome);
+    if (dist) {
+      metrics_.counter("qs_final_state_cache_hits_total").inc();
+      job->final_cache_hit = true;
+      job->final_tier = to_cache_tier(outcome.tier);
+      job->final_dist = std::move(dist);
+      return;
     }
-    sim::SimOptions sim_options = primary_gate_->sim_options();
-    sim_options.threads = effective_sim_threads(job->request.sim_threads);
-    sim_options.precision = job->request.precision;
-    sim_options.cancel = token;
-    auto dist = std::make_shared<const sim::FinalDistribution>(
-        primary_gate_->final_distribution(job->entry->flat,
-                                          job->entry->analysis, sim_options,
-                                          job->entry->fused.get()));
-    if (cache_on) {
-      store::Outcome outcome;
-      const std::size_t evicted =
-          final_cache_.insert(job->final_key, dist, &outcome);
-      record_store_outcome(outcome);
-      if (evicted > 0)
-        metrics_.counter("qs_final_state_cache_evictions_total").inc(evicted);
-      if (outcome.oversized)
-        metrics_.counter("qs_final_state_cache_oversized_total").inc();
-    }
-    job->final_dist = std::move(dist);
-  });
+    metrics_.counter("qs_final_state_cache_misses_total").inc();
+  }
+  sim::SimOptions sim_options = primary_gate_->sim_options();
+  sim_options.threads = effective_sim_threads(job->request.sim_threads);
+  sim_options.precision = job->request.precision;
+  sim_options.cancel = token;
+  auto dist = std::make_shared<const sim::FinalDistribution>(
+      primary_gate_->final_distribution(job->entry->flat,
+                                        job->entry->analysis, sim_options,
+                                        job->entry->fused.get()));
+  if (cache_on) {
+    store::Outcome outcome;
+    const std::size_t evicted =
+        final_cache_.insert(job->final_key, dist, &outcome);
+    record_store_outcome(outcome);
+    if (evicted > 0)
+      metrics_.counter("qs_final_state_cache_evictions_total").inc(evicted);
+    if (outcome.oversized)
+      metrics_.counter("qs_final_state_cache_oversized_total").inc();
+  }
+  job->final_dist = std::move(dist);
 }
 
-void QuantumService::run_gate_shard(const std::shared_ptr<JobState>& job,
-                                    std::size_t shard_index) {
+QuantumService::ShardOutput QuantumService::execute_gate_shard(
+    const std::shared_ptr<JobState>& job, const Backend& backend,
+    std::size_t shard_index, std::size_t count, const CancelToken& token) {
   const RunRequest& req = job->request;
-  const std::size_t begin = shard_index * options_.shard_shots;
-  const std::size_t count = std::min(options_.shard_shots, req.shots - begin);
   // Retries and failovers re-derive the same stream: the seed is a pure
   // function of (job seed, shard index) — never of the attempt count or
   // of which backend runs the shard — so a job that succeeds after
   // retries or re-routing produces the histogram of a job that never
   // failed, on whatever backend.
   const std::uint64_t seed = derive_stream_seed(req.seed, shard_index);
+  sim::SimOptions sim_options = backend.gate->sim_options();
+  sim_options.threads = effective_sim_threads(req.sim_threads);
+  sim_options.precision = req.precision;
+  sim_options.cancel = token;
+  sim_options.sampling = options_.sampling_enabled;
+  ShardOutput out;
+  if (job->sampled) {
+    // Sampling fast path: the job's shared distribution (cached, or
+    // computed once under dist_mutex) replaces the trajectory loop. The
+    // shard's counter-derived stream makes the draws identical to what
+    // any other route would produce.
+    ensure_final_distribution(job, token);
+    out.histogram = sim::sample_histogram(*job->final_dist, count, seed, token);
+  } else if (backend.gate->path() == runtime::GatePath::MicroArch) {
+    out.histogram = job->entry->eqasm
+                        ? backend.gate->run_eqasm(*job->entry->eqasm, count,
+                                                  seed, sim_options)
+                        : backend.gate->run_compiled(job->entry->compiled,
+                                                     count, seed, sim_options);
+  } else {
+    // Pre-flattened stream from the compiled entry: no per-shard
+    // flatten()/validate(); the entry's fused program (null under a
+    // stochastic model) replaces the raw stream. With a micro-arch
+    // backend anywhere in the pool the shard runs unfused: a failover
+    // re-route onto the eQASM path (which executes the raw gate stream)
+    // must reproduce this shard's histogram byte for byte, and fusion
+    // changes the evolved doubles.
+    const sim::FusedProgram* fused =
+        backends_->any_microarch() ? nullptr : job->entry->fused.get();
+    out.histogram = backend.gate->run_flat(job->entry->flat,
+                                           job->entry->analysis, count, seed,
+                                           sim_options, fused);
+  }
+  return out;
+}
+
+QuantumService::ShardOutput QuantumService::execute_anneal_shard(
+    const RunRequest& req, const Backend& backend, std::size_t begin,
+    std::size_t count, const CancelToken& token) {
+  ShardOutput out;
+  for (std::size_t read = begin; read < begin + count; ++read) {
+    throw_if_stopped(token);
+    // Per-read (not per-shard) stream: each anneal is an independent
+    // restart, and per-read seeding keeps the best-of-N reduction
+    // identical however reads are grouped into shards — and whichever
+    // backend runs them.
+    Rng rng(derive_stream_seed(req.seed, read));
+    // The token reaches the annealer's sweep loop: a deadline or cancel
+    // (or the watchdog) stops a QUBO job mid-anneal instead of waiting out
+    // the full schedule.
+    runtime::AnnealOutcome outcome = backend.annealer->solve(*req.qubo, rng,
+                                                             token);
+    out.histogram.add(solution_bits(outcome.solution));
+    out.best.offer(outcome.energy, read, std::move(outcome.solution));
+  }
+  return out;
+}
+
+void QuantumService::run_shard(const std::shared_ptr<JobState>& job,
+                               std::size_t shard_index) {
+  const RunRequest& req = job->request;
+  const JobKind kind = req.kind();
+  const std::size_t begin = shard_index * options_.shard_shots;
+  const std::size_t count = std::min(options_.shard_shots, req.shots - begin);
   const std::size_t planned_failures =
       req.faults ? req.faults->failures_for(shard_index) : 0;
 
@@ -1165,18 +1249,21 @@ void QuantumService::run_gate_shard(const std::shared_ptr<JobState>& job,
       break;
     }
 
-    std::shared_ptr<Backend> backend =
-        backends_->acquire(JobKind::Gate, exclude);
+    std::shared_ptr<Backend> backend = backends_->acquire(kind, exclude);
     if (!backend) {
       note_failure(job, Status::Unavailable(
                             "shard " + std::to_string(shard_index) +
-                            ": no healthy gate backend in the pool"));
+                            ": no healthy " + to_string(kind) +
+                            " backend in the pool"));
       break;
     }
-    // The measured register is as wide as the backend's platform: a
-    // 4-qubit program on an 8-qubit device still reads out all 8 lines.
-    // Shard sanity checks must use that width, not the program's.
-    const std::size_t arity = backend->gate->qubit_count();
+    // A gate register is as wide as the backend's platform: a 4-qubit
+    // program on an 8-qubit device still reads out all 8 lines, so shard
+    // sanity checks use that width, not the program's. An anneal key has
+    // one bit per QUBO variable.
+    const std::size_t arity = kind == JobKind::Gate
+                                  ? backend->gate->qubit_count()
+                                  : req.qubo->size();
     // Watchdog: the attempt runs under the job deadline tightened by the
     // per-shard time budget; expiry cancels the kernel at the next shot
     // boundary and the shard re-routes instead of hanging the worker.
@@ -1204,47 +1291,18 @@ void QuantumService::run_gate_shard(const std::shared_ptr<JobState>& job,
         throw_if_stopped(token);
       }
 
-      sim::SimOptions sim_options = backend->gate->sim_options();
-      sim_options.threads = effective_sim_threads(req.sim_threads);
-      sim_options.precision = req.precision;
-      sim_options.cancel = token;
-      sim_options.sampling = options_.sampling_enabled;
-      Histogram shard;
-      if (job->sampled) {
-        // Sampling fast path: the job's shared distribution (cached, or
-        // computed once under dist_once) replaces the trajectory loop.
-        // Everything around the execution call — backend acquire, fault
-        // injection, validation, retries, failover accounting — is
-        // unchanged, and the shard's counter-derived stream makes the
-        // draws identical to what any other route would produce.
-        ensure_final_distribution(job, token);
-        shard = sim::sample_histogram(*job->final_dist, count, seed, token);
-      } else if (backend->gate->path() == runtime::GatePath::MicroArch) {
-        shard = job->entry->eqasm
-                    ? backend->gate->run_eqasm(*job->entry->eqasm, count,
-                                               seed, sim_options)
-                    : backend->gate->run_compiled(job->entry->compiled, count,
-                                                  seed, sim_options);
-      } else {
-        // Pre-flattened stream from the compiled entry: no per-shard
-        // flatten()/validate(); the entry's fused program (null under a
-        // stochastic model) replaces the raw stream. With a micro-arch
-        // backend anywhere in the pool the shard runs unfused: a
-        // failover re-route onto the eQASM path (which executes the raw
-        // gate stream) must reproduce this shard's histogram byte for
-        // byte, and fusion changes the evolved doubles.
-        const sim::FusedProgram* fused =
-            backends_->any_microarch() ? nullptr : job->entry->fused.get();
-        shard = backend->gate->run_flat(job->entry->flat,
-                                        job->entry->analysis, count, seed,
-                                        sim_options, fused);
-      }
+      // The attempt's output stays local until the shard is known-good,
+      // so a retried attempt never double-counts reads or shots.
+      ShardOutput out =
+          kind == JobKind::Gate
+              ? execute_gate_shard(job, *backend, shard_index, count, token)
+              : execute_anneal_shard(req, *backend, begin, count, token);
       if (req.faults &&
           req.faults->backend_fault(
               backend->name, runtime::BackendFaultKind::kCorruptHistogram))
-        shard.add(std::string(arity + 1, '1'));  // wrong-arity poison key
+        out.histogram.add(std::string(arity + 1, '1'));  // poison key
 
-      if (Status valid = validate_shard_histogram(shard, count, arity);
+      if (Status valid = validate_shard_histogram(out.histogram, count, arity);
           !valid.ok()) {
         // Result-level corruption: the backend lied without failing, so
         // it is quarantined outright and the shard re-runs elsewhere
@@ -1260,8 +1318,11 @@ void QuantumService::run_gate_shard(const std::shared_ptr<JobState>& job,
       job->shards_executed.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(job->merge_mutex);
-        for (const auto& [bits, n] : shard.counts())
+        for (const auto& [bits, n] : out.histogram.counts())
           job->merged.add(bits, n);
+        if (out.best.has)
+          job->best.offer(out.best.energy, out.best.read,
+                          std::move(out.best.solution));
         if (shard_index < job->shard_done.size())
           job->shard_done[shard_index] = 1;
         job->progress_seq.fetch_add(1, std::memory_order_relaxed);
@@ -1324,202 +1385,6 @@ void QuantumService::run_gate_shard(const std::shared_ptr<JobState>& job,
   finish_shard(job);
 }
 
-void QuantumService::run_anneal_shard(const std::shared_ptr<JobState>& job,
-                                      std::size_t shard_index) {
-  const RunRequest& req = job->request;
-  const std::size_t begin = shard_index * options_.shard_shots;
-  const std::size_t end = std::min(begin + options_.shard_shots, req.shots);
-  const std::size_t arity = req.qubo->size();
-  const std::size_t planned_failures =
-      req.faults ? req.faults->failures_for(shard_index) : 0;
-
-  std::size_t transient_attempt = 0;
-  std::size_t failover_count = 0;
-  std::string exclude;
-
-  const auto fail_over = [&](Backend& backend, const std::string& reason,
-                             bool quarantine_backend) {
-    if (quarantine_backend)
-      backends_->quarantine(backend);
-    else
-      backends_->record_failure(backend);
-    exclude = backend.name;
-    metrics_.counter("qs_backend_failovers_total").inc();
-    job->failovers.fetch_add(1, std::memory_order_relaxed);
-    if (++failover_count > options_.max_shard_failovers) {
-      note_failure(job, Status::Unavailable(
-                            "shard " + std::to_string(shard_index) + ": " +
-                            reason + " (failover budget exhausted after " +
-                            std::to_string(failover_count) + " re-routes)"));
-      return false;
-    }
-    return true;
-  };
-
-  for (;;) {
-    if (job->abort.load(std::memory_order_acquire)) break;
-    if (job->cancel.cancel_requested()) {
-      note_failure(job, Status::Cancelled("job cancelled mid-run"));
-      break;
-    }
-    if (job->deadline_at && Clock::now() > *job->deadline_at) {
-      note_failure(job,
-                   Status::DeadlineExceeded("deadline expired mid-run"));
-      break;
-    }
-
-    std::shared_ptr<Backend> backend =
-        backends_->acquire(JobKind::Anneal, exclude);
-    if (!backend) {
-      note_failure(job, Status::Unavailable(
-                            "shard " + std::to_string(shard_index) +
-                            ": no healthy anneal backend in the pool"));
-      break;
-    }
-    const CancelToken token = attempt_token(*job);
-
-    try {
-      if (req.faults && req.faults->shard_latency.count() > 0)
-        std::this_thread::sleep_for(req.faults->shard_latency);
-      if (transient_attempt < planned_failures)
-        throw TransientError("injected fault: shard " +
-                             std::to_string(shard_index) + " attempt " +
-                             std::to_string(transient_attempt));
-      if (req.faults && req.faults->backend_fault(
-                            backend->name, runtime::BackendFaultKind::kCrash))
-        throw BackendError("injected crash on backend '" + backend->name +
-                           "'");
-      if (req.faults &&
-          req.faults->backend_fault(backend->name,
-                                    runtime::BackendFaultKind::kStuckShard)) {
-        while (!token.stop_requested())
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        throw_if_stopped(token);
-      }
-      // Accumulate locally and merge once at the end: keeps the job state
-      // untouched until the shard is known-good, so a retried attempt can
-      // never double-count its completed reads.
-      Histogram local;
-      bool local_has_best = false;
-      double local_best_energy = 0.0;
-      std::uint64_t local_best_read = 0;
-      std::vector<int> local_best;
-      for (std::size_t read = begin; read < end; ++read) {
-        throw_if_stopped(token);
-        // Per-read (not per-shard) stream: each anneal is an independent
-        // restart, and per-read seeding keeps the best-of-N reduction
-        // identical however reads are grouped into shards — and whichever
-        // backend runs them.
-        Rng rng(derive_stream_seed(req.seed, read));
-        // The token reaches the annealer's sweep loop: a deadline or
-        // cancel (or the watchdog) stops a QUBO job mid-anneal instead of
-        // waiting out the full schedule.
-        const runtime::AnnealOutcome outcome =
-            backend->annealer->solve(*req.qubo, rng, token);
-        local.add(solution_bits(outcome.solution));
-        const bool better = !local_has_best ||
-                            outcome.energy < local_best_energy ||
-                            (outcome.energy == local_best_energy &&
-                             read < local_best_read);
-        if (better) {
-          local_has_best = true;
-          local_best_energy = outcome.energy;
-          local_best_read = read;
-          local_best = outcome.solution;
-        }
-      }
-      if (req.faults &&
-          req.faults->backend_fault(
-              backend->name, runtime::BackendFaultKind::kCorruptHistogram))
-        local.add(std::string(arity + 1, '1'));
-
-      if (Status valid =
-              validate_shard_histogram(local, end - begin, arity);
-          !valid.ok()) {
-        if (!fail_over(*backend,
-                       "invalid shard result: " + valid.message(),
-                       /*quarantine_backend=*/true))
-          break;
-        continue;
-      }
-
-      backends_->record_success(*backend);
-      job->shards_executed.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(job->merge_mutex);
-        for (const auto& [bits, n] : local.counts())
-          job->merged.add(bits, n);
-        if (local_has_best) {
-          const bool better = !job->has_best ||
-                              local_best_energy < job->best_energy ||
-                              (local_best_energy == job->best_energy &&
-                               local_best_read < job->best_read);
-          if (better) {
-            job->has_best = true;
-            job->best_energy = local_best_energy;
-            job->best_read = local_best_read;
-            job->best_solution = std::move(local_best);
-          }
-        }
-        if (shard_index < job->shard_done.size())
-          job->shard_done[shard_index] = 1;
-        job->progress_seq.fetch_add(1, std::memory_order_relaxed);
-        save_checkpoint_locked(*job);
-      }
-      // Simulated mid-run death — see run_gate_shard.
-      if (crash_point_of(req) == runtime::CrashPoint::kMidShard &&
-          !job->crashed.exchange(true, std::memory_order_relaxed)) {
-        metrics_.counter("qs_injected_crashes_total").inc();
-        note_failure(job, crash_status(runtime::CrashPoint::kMidShard));
-      }
-      break;
-    } catch (const CancelledError& e) {
-      const bool job_cancelled = job->cancel.cancel_requested();
-      const bool job_deadline_hit =
-          job->deadline_at && Clock::now() > *job->deadline_at;
-      if (e.deadline_expired() && !job_cancelled && !job_deadline_hit) {
-        if (!fail_over(*backend, "watchdog: shard exceeded time budget",
-                       /*quarantine_backend=*/false))
-          break;
-        continue;
-      }
-      note_failure(job, e.deadline_expired() && !job_cancelled
-                            ? Status::DeadlineExceeded(
-                                  "deadline expired mid-run")
-                            : Status::Cancelled("job cancelled mid-run"));
-      break;
-    } catch (const BackendError& e) {
-      if (!fail_over(*backend, e.what(), /*quarantine_backend=*/false))
-        break;
-      continue;
-    } catch (const TransientError& e) {
-      if (transient_attempt >= options_.max_shard_retries) {
-        note_failure(job, Status::Unavailable(
-                              "shard " + std::to_string(shard_index) +
-                              " failed after " +
-                              std::to_string(transient_attempt + 1) +
-                              " attempts: " + e.what()));
-        break;
-      }
-      job->retries.fetch_add(1, std::memory_order_relaxed);
-      metrics_.counter("qs_shard_retries_total").inc();
-      std::this_thread::sleep_for(
-          options_.retry_backoff.delay(transient_attempt));
-      ++transient_attempt;
-    } catch (const std::exception& e) {
-      backends_->record_failure(*backend);
-      note_failure(job,
-                   Status::Internal(std::string("shard failed: ") + e.what()));
-      break;
-    } catch (...) {
-      backends_->record_failure(*backend);
-      note_failure(job, Status::Internal("shard failed: unknown exception"));
-      break;
-    }
-  }
-  finish_shard(job);
-}
-
 void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
   if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
@@ -1535,9 +1400,9 @@ void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
     job->assembled = true;
     result.status = job->status;
     result.histogram = std::move(job->merged);
-    result.best_solution = std::move(job->best_solution);
+    result.best_solution = std::move(job->best.solution);
   }
-  result.best_energy = job->best_energy;
+  result.best_energy = job->best.energy;
   result.stats.queue_wait_us = job->wait_us;
   result.stats.run_us = us_between(job->dispatched, Clock::now());
   result.stats.compile_cache_hit = job->cache_hit;

@@ -92,8 +92,10 @@ struct ServiceOptions {
   /// Crash-safe checkpoint/resume (null = disabled). Jobs submitted with a
   /// non-empty checkpoint_key snapshot their merged partial histogram and
   /// shard cursor here after every completed shard, and a resubmission
-  /// with the same key re-runs only the unfinished shards.
-  std::shared_ptr<CheckpointStore> checkpoint_store;
+  /// with the same key re-runs only the unfinished shards. Over a
+  /// memory-only ArtifactStore, snapshots live as long as the process;
+  /// over a disk store they survive restarts.
+  std::shared_ptr<StoreCheckpointStore> checkpoint_store;
   /// Terminal-measurement sampling fast path: shot-deterministic gate jobs
   /// (perfect model, terminal measures, no conditionals) evolve once and
   /// sample all shots from the final distribution. Off forces the
@@ -296,14 +298,28 @@ class QuantumService {
   /// Materialises the job's shared final distribution exactly once per
   /// job (FinalStateCache lookup, else one evolution + insert); called
   /// from the first sampled shard to reach it, other shards block on the
-  /// once-flag. Throws CancelledError when `token` stops the evolution.
+  /// job's mutex. Throws CancelledError when `token` stops the evolution.
   void ensure_final_distribution(const std::shared_ptr<JobState>& job,
                                  const CancelToken& token);
 
-  void run_gate_shard(const std::shared_ptr<JobState>& job,
-                      std::size_t shard_index);
-  void run_anneal_shard(const std::shared_ptr<JobState>& job,
-                        std::size_t shard_index);
+  /// What one successful shard attempt produced: the shard histogram and,
+  /// for anneal jobs, the shard's best read.
+  struct ShardOutput;
+
+  /// The shard attempt driver, shared by gate and anneal jobs: cancel and
+  /// deadline checks, backend acquire, fault injection, validation,
+  /// failover, transient retry, merge and checkpoint. Only the execute
+  /// step below differs by job kind.
+  void run_shard(const std::shared_ptr<JobState>& job,
+                 std::size_t shard_index);
+  ShardOutput execute_gate_shard(const std::shared_ptr<JobState>& job,
+                                 const Backend& backend,
+                                 std::size_t shard_index, std::size_t count,
+                                 const CancelToken& token);
+  ShardOutput execute_anneal_shard(const RunRequest& req,
+                                   const Backend& backend, std::size_t begin,
+                                   std::size_t count,
+                                   const CancelToken& token);
   void finish_shard(const std::shared_ptr<JobState>& job);
 
   /// Final bookkeeping after a job's promise is fulfilled (or abandoned on

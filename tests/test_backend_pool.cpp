@@ -1,9 +1,10 @@
 // Backend supervision tests: circuit-breaker state machine, backend
 // registration invariants, Bell-probe quarantine and recovery, shard
-// failover (crash, corrupt histogram, stuck shard + watchdog) with
-// byte-identical merged histograms, and checkpoint/resume across service
-// restarts. Everything is deterministic; the fault scenarios run through
-// runtime::FaultPlan, never real infrastructure failures.
+// failover for gate and anneal jobs (crash, corrupt histogram, stuck shard
+// + watchdog) with byte-identical merged results, and checkpoint/resume
+// across service restarts. Everything is deterministic; the fault
+// scenarios run through runtime::FaultPlan, never real infrastructure
+// failures.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "service/backend_pool.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
+#include "store/artifact_store.h"
 
 namespace qs {
 namespace {
@@ -359,6 +361,129 @@ TEST(BackendFailover, MixedDirectAndMicroArchPoolStaysByteIdentical) {
   EXPECT_EQ(r.histogram.counts(), clean.counts());
 }
 
+// ------------------------------------------------ anneal shard failover ----
+//
+// The same four supervision scenarios, for QUBO jobs on a pool of two
+// equivalent annealers. Per-read seeding makes the route invisible, so the
+// histogram and the best-of-N solution must match a fault-free run.
+
+anneal::Qubo failover_qubo() {
+  anneal::Qubo qubo(4);
+  qubo.add(0, 0, -2.0);
+  qubo.add(1, 1, 1.0);
+  qubo.add(2, 2, -2.0);
+  qubo.add(3, 3, 0.5);
+  qubo.add(0, 1, 1.5);
+  qubo.add(1, 2, 1.5);
+  qubo.add(2, 3, -1.0);
+  return qubo;
+}
+
+service::ServiceOptions anneal_shard_options() {
+  service::ServiceOptions opts = small_shard_options();
+  opts.shard_shots = 8;
+  return opts;
+}
+
+/// One gate backend (the service needs a compile authority) plus two
+/// equivalent annealers, "a0" and "a1".
+std::shared_ptr<BackendPool> make_anneal_pool() {
+  BackendPoolOptions opts;
+  opts.breaker.open_cooldown = 10s;
+  auto pool = std::make_shared<BackendPool>(opts);
+  EXPECT_TRUE(pool->register_gate("gate", make_gate(2)).ok());
+  for (const char* name : {"a0", "a1"}) {
+    Status st = pool->register_anneal(
+        name, std::make_shared<runtime::AnnealAccelerator>(/*capacity=*/8));
+    EXPECT_TRUE(st.ok()) << st.to_string();
+  }
+  return pool;
+}
+
+/// Fault-free single-annealer reference run.
+RunResult reference_anneal(std::size_t reads, std::uint64_t seed,
+                           const service::ServiceOptions& opts) {
+  service::QuantumService svc(GateAccelerator(compiler::Platform::perfect(2)),
+                              runtime::AnnealAccelerator(/*capacity=*/8),
+                              opts);
+  RunResult r =
+      svc.submit(RunRequest::anneal(failover_qubo(), reads, seed)).get();
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_EQ(r.stats.failovers, 0u);
+  return r;
+}
+
+RunResult run_faulted_anneal(service::QuantumService& svc, std::size_t reads,
+                             std::uint64_t seed,
+                             std::vector<FaultPlan::BackendFault> faults) {
+  auto plan = std::make_shared<FaultPlan>();
+  plan->backend_faults = std::move(faults);
+  RunRequest req = RunRequest::anneal(failover_qubo(), reads, seed);
+  req.faults = plan;
+  return svc.submit(std::move(req)).get();
+}
+
+void expect_same_anneal_result(const RunResult& r, const RunResult& clean,
+                               service::QuantumService& svc) {
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_EQ(r.histogram.counts(), clean.histogram.counts());
+  EXPECT_EQ(r.best_solution, clean.best_solution);
+  EXPECT_DOUBLE_EQ(r.best_energy, clean.best_energy);
+  EXPECT_GT(r.stats.failovers, 0u);
+  EXPECT_EQ(svc.metrics().counter("qs_backend_failovers_total").value(),
+            r.stats.failovers);
+}
+
+TEST(BackendFailover, AnnealCrashLoopingBackendFailsOverIdentically) {
+  const service::ServiceOptions opts = anneal_shard_options();
+  const RunResult clean = reference_anneal(96, /*seed=*/77, opts);
+
+  service::QuantumService svc(make_anneal_pool(), opts);
+  const RunResult r = run_faulted_anneal(svc, 96, 77,
+                                         {{"a1", BackendFaultKind::kCrash}});
+  expect_same_anneal_result(r, clean, svc);
+  EXPECT_EQ(svc.backends().breaker_state("a1"), BreakerState::Open);
+  EXPECT_EQ(svc.backends().breaker_state("a0"), BreakerState::Closed);
+}
+
+TEST(BackendFailover, AnnealCorruptHistogramQuarantinesAndReroutes) {
+  const service::ServiceOptions opts = anneal_shard_options();
+  const RunResult clean = reference_anneal(64, /*seed=*/5, opts);
+
+  service::QuantumService svc(make_anneal_pool(), opts);
+  const RunResult r = run_faulted_anneal(
+      svc, 64, 5, {{"a1", BackendFaultKind::kCorruptHistogram}});
+  expect_same_anneal_result(r, clean, svc);
+  EXPECT_EQ(svc.backends().breaker_state("a1"), BreakerState::Open);
+  EXPECT_GT(svc.metrics().counter("qs_backend_quarantines_total").value(),
+            0u);
+}
+
+TEST(BackendFailover, AnnealWatchdogRescuesStuckShards) {
+  service::ServiceOptions opts = anneal_shard_options();
+  opts.shard_shots = 2;
+  const RunResult clean = reference_anneal(16, /*seed=*/11, opts);
+  // Long next to a healthy 2-read shard, so only the stuck backend trips
+  // the watchdog, even under a sanitizer on a loaded host.
+  opts.shard_time_budget = 250ms;
+
+  service::QuantumService svc(make_anneal_pool(), opts);
+  const RunResult r = run_faulted_anneal(
+      svc, 16, 11, {{"a0", BackendFaultKind::kStuckShard}});
+  expect_same_anneal_result(r, clean, svc);
+  EXPECT_EQ(r.status.code(), StatusCode::kOk);
+}
+
+TEST(BackendFailover, AnnealAllBackendsCrashLoopingFailsWithUnavailable) {
+  service::ServiceOptions opts = anneal_shard_options();
+  opts.max_shard_failovers = 2;
+  service::QuantumService svc(make_anneal_pool(), opts);
+  const RunResult r = run_faulted_anneal(
+      svc, 16, 3,
+      {{"a0", BackendFaultKind::kCrash}, {"a1", BackendFaultKind::kCrash}});
+  EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
+}
+
 // --------------------------------------------------- checkpoint/resume ----
 
 TEST(Checkpoint, SerializeDeserializeRoundTrips) {
@@ -410,35 +535,49 @@ TEST(Checkpoint, DeserializeRefusesTornOrMalformedSnapshots) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // A shard count beyond service::kMaxShards is refused before anything is
+  // sized from it.
+  EXPECT_EQ(service::JobCheckpoint::deserialize(
+                "qs-checkpoint v1\nfingerprint 1\nshards 99999999999999999\n"
+                "end\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Checkpoint, FileStoreRoundTripsAndRefusesTornFiles) {
   const std::string dir = "qs_ckpt_test_dir";
-  service::FileCheckpointStore store(dir);
+  store::StoreOptions disk;
+  disk.directory = dir;
+  service::StoreCheckpointStore checkpoints(
+      std::make_shared<store::ArtifactStore>(disk));
+  const auto path_for = [&](const std::string& key) {
+    return checkpoints.store().path_for(store::ArtifactKey::checkpoint(key));
+  };
 
   service::JobCheckpoint cp;
   cp.fingerprint = 42;
   cp.shards = 1;
   cp.shard_done = {1};
   cp.merged.add("00", 8);
-  ASSERT_TRUE(store.save("job/alpha", cp).ok());
+  ASSERT_TRUE(checkpoints.save("job/alpha", cp).ok());
 
-  const auto loaded = store.load("job/alpha");
+  const auto loaded = checkpoints.load("job/alpha");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->fingerprint, 42u);
   EXPECT_EQ(loaded->merged.counts(), cp.merged.counts());
-  EXPECT_FALSE(store.load("job/other").has_value());
+  EXPECT_FALSE(checkpoints.load("job/other").has_value());
 
   // A torn file on disk is refused, not half-applied.
   {
-    std::ofstream torn(store.path_for("job/alpha"),
+    std::ofstream torn(path_for("job/alpha"),
                        std::ios::binary | std::ios::trunc);
     torn << "qs-checkpoint v1\nfingerprint 42\nshards 1\n";
   }
-  EXPECT_FALSE(store.load("job/alpha").has_value());
+  EXPECT_FALSE(checkpoints.load("job/alpha").has_value());
 
-  store.remove("job/alpha");
-  EXPECT_FALSE(std::filesystem::exists(store.path_for("job/alpha")));
+  checkpoints.remove("job/alpha");
+  EXPECT_FALSE(std::filesystem::exists(path_for("job/alpha")));
   std::filesystem::remove_all(dir);
 }
 
@@ -457,8 +596,9 @@ TEST(Checkpoint, RestartResumesOnlyUnfinishedShardsByteIdentically) {
   opts.retry_backoff.initial = std::chrono::microseconds(1);
   const Histogram clean = reference_histogram(3, kShots, kSeed, opts);
 
-  auto store = std::make_shared<service::InMemoryCheckpointStore>();
-  opts.checkpoint_store = store;
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  opts.checkpoint_store =
+      std::make_shared<service::StoreCheckpointStore>(artifacts);
 
   {
     service::QuantumService svc(
@@ -473,7 +613,8 @@ TEST(Checkpoint, RestartResumesOnlyUnfinishedShardsByteIdentically) {
     EXPECT_EQ(r.stats.shards_executed, 4u);  // shard 4 never succeeded
   }  // service dies with the job checkpointed
 
-  EXPECT_EQ(store->size(), 1u);  // failed job kept its snapshot
+  // The failed job kept its snapshot.
+  EXPECT_EQ(artifacts->memory_entries(store::ArtifactKind::kCheckpoint), 1u);
 
   service::QuantumService svc(
       GateAccelerator(compiler::Platform::perfect(3)), opts);
@@ -486,7 +627,8 @@ TEST(Checkpoint, RestartResumesOnlyUnfinishedShardsByteIdentically) {
   EXPECT_EQ(r.stats.shards_executed, 1u);  // only the unfinished shard ran
   EXPECT_EQ(r.histogram.counts(), clean.counts());
   EXPECT_EQ(svc.metrics().counter("qs_shards_resumed_total").value(), 4u);
-  EXPECT_EQ(store->size(), 0u);  // completed job removed its snapshot
+  // The completed job removed its snapshot.
+  EXPECT_EQ(artifacts->memory_entries(store::ArtifactKind::kCheckpoint), 0u);
 }
 
 TEST(Checkpoint, FingerprintMismatchStartsFresh) {
@@ -495,8 +637,9 @@ TEST(Checkpoint, FingerprintMismatchStartsFresh) {
   opts.shard_shots = 64;
   opts.max_shard_retries = 0;
   opts.retry_backoff.initial = std::chrono::microseconds(1);
-  auto store = std::make_shared<service::InMemoryCheckpointStore>();
-  opts.checkpoint_store = store;
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  opts.checkpoint_store =
+      std::make_shared<service::StoreCheckpointStore>(artifacts);
 
   service::QuantumService svc(
       GateAccelerator(compiler::Platform::perfect(3)), opts);
@@ -507,7 +650,7 @@ TEST(Checkpoint, FingerprintMismatchStartsFresh) {
   failing.checkpoint_key = "fp-test";
   failing.faults = plan;
   EXPECT_FALSE(svc.submit(std::move(failing)).get().ok());
-  EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(artifacts->memory_entries(store::ArtifactKind::kCheckpoint), 1u);
 
   // Same key, different seed: the snapshot's fingerprint no longer
   // matches, so nothing may be resumed from it.
@@ -544,8 +687,9 @@ TEST(Checkpoint, AnnealJobsResumeBestSolutionState) {
     ASSERT_TRUE(clean.ok());
   }
 
-  auto store = std::make_shared<service::InMemoryCheckpointStore>();
-  opts.checkpoint_store = store;
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  opts.checkpoint_store =
+      std::make_shared<service::StoreCheckpointStore>(artifacts);
   {
     service::QuantumService svc(
         GateAccelerator(compiler::Platform::perfect(2)),
@@ -569,6 +713,44 @@ TEST(Checkpoint, AnnealJobsResumeBestSolutionState) {
   EXPECT_EQ(r.histogram.counts(), clean.histogram.counts());
   EXPECT_EQ(r.best_solution, clean.best_solution);
   EXPECT_DOUBLE_EQ(r.best_energy, clean.best_energy);
+}
+
+TEST(Checkpoint, FingerprintValuesArePinned) {
+  // Snapshots already on disk resume only while the fingerprint function
+  // stays bit-identical, so one gate and one anneal value are pinned here.
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  auto checkpoints = std::make_shared<service::StoreCheckpointStore>(artifacts);
+  service::ServiceOptions opts;
+  opts.workers = 1;  // sequential shards: shard 0 merges, shard 1 fails
+  opts.shard_shots = 8;
+  opts.max_shard_retries = 0;
+  opts.retry_backoff.initial = std::chrono::microseconds(1);
+  opts.checkpoint_store = checkpoints;
+  service::QuantumService svc(GateAccelerator(compiler::Platform::perfect(3)),
+                              runtime::AnnealAccelerator(/*capacity=*/8),
+                              opts);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->shard_faults = {{/*shard_index=*/1, /*failures=*/10}};
+
+  RunRequest gate = RunRequest::gate(ghz_program(3), 32, /*seed=*/17);
+  gate.checkpoint_key = "pin-gate";
+  gate.faults = plan;
+  RunRequest qubo = RunRequest::anneal(failover_qubo(), 32, /*seed=*/17);
+  qubo.checkpoint_key = "pin-anneal";
+  qubo.faults = plan;
+  EXPECT_EQ(svc.submit(std::move(gate)).get().status.code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(svc.submit(std::move(qubo)).get().status.code(),
+            StatusCode::kUnavailable);
+
+  const auto gate_cp = checkpoints->load("pin-gate");
+  ASSERT_TRUE(gate_cp.has_value());
+  EXPECT_EQ(gate_cp->completed(), 1u);
+  EXPECT_EQ(gate_cp->fingerprint, 13891282772604876242ull);
+  const auto anneal_cp = checkpoints->load("pin-anneal");
+  ASSERT_TRUE(anneal_cp.has_value());
+  EXPECT_EQ(anneal_cp->completed(), 1u);
+  EXPECT_EQ(anneal_cp->fingerprint, 3782814004523815501ull);
 }
 
 // ----------------------------------------- annealer cancel / deadline ----

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <string>
@@ -594,6 +595,28 @@ TEST(GatewayEndToEnd, MalformedRequestIsTypedInvalidArgument) {
       runtime::RunRequest::gate_source(ghz_source(2), 32));
   ASSERT_TRUE(good.ok()) << good.status().to_string();
   EXPECT_TRUE(client.wait(*good).ok());
+}
+
+TEST(GatewayEndToEnd, HugeShotCountIsTypedInvalidArgument) {
+  LiveGateway gw;
+  GatewayClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", gw.server.port()).ok());
+
+  for (const std::size_t shots : {std::size_t{1} << 62, SIZE_MAX}) {
+    const auto id =
+        client.submit(runtime::RunRequest::gate_source(ghz_source(2), shots));
+    ASSERT_FALSE(id.ok());
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // The server answers the next job on the same connection.
+  const auto good =
+      client.submit(runtime::RunRequest::gate_source(ghz_source(2), 32));
+  ASSERT_TRUE(good.ok()) << good.status().to_string();
+  const auto result = client.wait(*good);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  ASSERT_TRUE(result->status.ok()) << result->status.to_string();
+  EXPECT_EQ(result->histogram.total(), 32u);
 }
 
 TEST(GatewayEndToEnd, QueueFullShedsWithDepthNotSilently) {

@@ -27,6 +27,7 @@
 #include "sim/simulator.h"
 #include "sim/statevector.h"
 #include "sim/trajectory_analysis.h"
+#include "store/artifact_store.h"
 
 namespace qs {
 namespace {
@@ -598,8 +599,9 @@ TEST(ServiceSampling, CheckpointResumeStaysByteIdentical) {
   opts.max_shard_retries = 0;
   opts.max_shard_failovers = 0;
   opts.retry_backoff.initial = std::chrono::microseconds(1);
-  auto store = std::make_shared<service::InMemoryCheckpointStore>();
-  opts.checkpoint_store = store;
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  opts.checkpoint_store =
+      std::make_shared<service::StoreCheckpointStore>(artifacts);
 
   service::QuantumService clean_svc(perfect_gate(3), opts);
   const runtime::RunResult clean =
@@ -616,7 +618,7 @@ TEST(ServiceSampling, CheckpointResumeStaysByteIdentical) {
     req.faults = plan;
     EXPECT_FALSE(svc.submit(std::move(req)).get().ok());
   }
-  ASSERT_EQ(store->size(), 1u);
+  ASSERT_EQ(artifacts->memory_entries(store::ArtifactKind::kCheckpoint), 1u);
 
   service::QuantumService svc(perfect_gate(3), opts);
   runtime::RunRequest req = runtime::RunRequest::gate(ghz_program(3), 512, 7);

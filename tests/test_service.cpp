@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <string>
 #include <thread>
@@ -247,6 +248,32 @@ TEST(QuantumService, InvalidRequestsResolveWithStatusNotExceptions) {
 
   EXPECT_EQ(svc.metrics().counter("qs_jobs_rejected_total").value(), 4u);
   EXPECT_EQ(svc.metrics().counter("qs_jobs_submitted_total").value(), 0u);
+}
+
+TEST(QuantumService, HugeShotCountsAreRejectedAndServingContinues) {
+  // shard_count stays exact where shots + shard_shots - 1 would wrap.
+  EXPECT_EQ(shard_count(SIZE_MAX, 256), SIZE_MAX / 256 + 1);
+  EXPECT_EQ(shard_count(kMaxShards * 256, 256), kMaxShards);
+
+  ServiceOptions opts;
+  opts.workers = 1;
+  QuantumService svc(perfect_gate(3), runtime::AnnealAccelerator(4), opts);
+  anneal::Qubo qubo(2);
+  qubo.add(0, 1, -1.0);
+  for (const std::size_t shots : {std::size_t{1} << 62, SIZE_MAX}) {
+    EXPECT_EQ(svc.submit(RunRequest::gate(ghz_program(3), shots))
+                  .get()
+                  .status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(svc.try_submit(RunRequest::anneal(qubo, shots)).get()
+                  .status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(svc.metrics().counter("qs_jobs_rejected_total").value(), 4u);
+
+  const RunResult next = svc.submit(RunRequest::gate(ghz_program(3), 64)).get();
+  ASSERT_TRUE(next.ok()) << next.status.to_string();
+  EXPECT_EQ(next.histogram.total(), 64u);
 }
 
 TEST(QuantumService, GateJobMergesAllShots) {
