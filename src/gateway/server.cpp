@@ -7,14 +7,6 @@ namespace qs::gateway {
 
 namespace {
 
-std::string tenant_of(const runtime::RunRequest& request) {
-  return request.tenant.empty() ? "default" : request.tenant;
-}
-
-std::string tenant_metric(const char* stem, const std::string& tenant) {
-  return std::string(stem) + "{tenant=\"" + tenant + "\"}";
-}
-
 Status check_quota(const char* who, const TenantQuota& q) {
   const std::string name(who);
   if (q.submit_rate <= 0.0)
@@ -243,12 +235,12 @@ void GatewayServer::handle_submit(const Socket& sock, const Frame& frame,
     return;
   }
 
-  const std::string tenant = tenant_of(request);
+  const std::string tenant = service::tenant_label(request.tenant);
   const std::string idemp_key = request.idempotency_key;
   if (Status a = governor_.admit(tenant); !a.ok()) {
     rejected.inc();
     service_.metrics()
-        .counter(tenant_metric("qs_tenant_rejected_total", tenant))
+        .counter(service::tenant_metric("qs_tenant_rejected_total", tenant))
         .inc();
     send_error(sock, std::move(a), service_.queue_depth());
     return;
@@ -270,7 +262,7 @@ void GatewayServer::handle_submit(const Socket& sock, const Frame& frame,
       governor_.release(tenant);
       rejected.inc();
       service_.metrics()
-          .counter(tenant_metric("qs_tenant_rejected_total", tenant))
+          .counter(service::tenant_metric("qs_tenant_rejected_total", tenant))
           .inc();
       send_error(sock,
                  Status::DeadlineExceeded(

@@ -1,21 +1,6 @@
 #include "gateway/wire.h"
 
-#include <cstring>
-
-#include "qasm/printer.h"
-
 namespace qs::gateway {
-
-namespace {
-
-// RunRequest payload discriminator.
-constexpr std::uint8_t kPayloadGateText = 0;
-constexpr std::uint8_t kPayloadQubo = 1;
-
-constexpr std::uint8_t kKindGate = 0;
-constexpr std::uint8_t kKindAnneal = 1;
-
-}  // namespace
 
 const char* to_string(Op op) {
   switch (op) {
@@ -38,159 +23,8 @@ const char* to_string(Op op) {
 }
 
 // ---------------------------------------------------------------------------
-// Encoder
-// ---------------------------------------------------------------------------
-
-void Encoder::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Encoder::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Encoder::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Encoder::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void Encoder::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void Encoder::histogram(const Histogram& h) {
-  u32(static_cast<std::uint32_t>(h.counts().size()));
-  for (const auto& [key, count] : h.counts()) {
-    str(key);
-    u64(count);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
-
-bool Decoder::need(std::size_t k) {
-  if (!status_.ok()) return false;
-  if (n_ - off_ < k) {
-    fail("truncated payload");
-    return false;
-  }
-  return true;
-}
-
-void Decoder::fail(std::string message) {
-  if (status_.ok()) status_ = Status::InvalidArgument(std::move(message));
-}
-
-bool Decoder::u8(std::uint8_t* v) {
-  if (!need(1)) return false;
-  *v = p_[off_++];
-  return true;
-}
-
-bool Decoder::u16(std::uint16_t* v) {
-  if (!need(2)) return false;
-  *v = static_cast<std::uint16_t>(p_[off_] | (p_[off_ + 1] << 8));
-  off_ += 2;
-  return true;
-}
-
-bool Decoder::u32(std::uint32_t* v) {
-  if (!need(4)) return false;
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x |= std::uint32_t{p_[off_ + i]} << (8 * i);
-  off_ += 4;
-  *v = x;
-  return true;
-}
-
-bool Decoder::u64(std::uint64_t* v) {
-  if (!need(8)) return false;
-  std::uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x |= std::uint64_t{p_[off_ + i]} << (8 * i);
-  off_ += 8;
-  *v = x;
-  return true;
-}
-
-bool Decoder::i32(std::int32_t* v) {
-  std::uint32_t x;
-  if (!u32(&x)) return false;
-  *v = static_cast<std::int32_t>(x);
-  return true;
-}
-
-bool Decoder::f64(double* v) {
-  std::uint64_t bits;
-  if (!u64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof bits);
-  return true;
-}
-
-bool Decoder::str(std::string* s) {
-  std::uint32_t len;
-  if (!u32(&len)) return false;
-  // A length prefix larger than the bytes actually present is the classic
-  // amplification bug; check before allocating.
-  if (!need(len)) return false;
-  s->assign(reinterpret_cast<const char*>(p_ + off_), len);
-  off_ += len;
-  return true;
-}
-
-bool Decoder::histogram(Histogram* h) {
-  std::uint32_t entries;
-  if (!u32(&entries)) return false;
-  *h = Histogram();
-  for (std::uint32_t i = 0; i < entries; ++i) {
-    std::string key;
-    std::uint64_t count;
-    if (!str(&key) || !u64(&count)) return false;
-    h->add(key, static_cast<std::size_t>(count));
-  }
-  return true;
-}
-
-bool Decoder::finish() {
-  if (!status_.ok()) return false;
-  if (off_ != n_) {
-    fail("trailing bytes after message body");
-    return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Message bodies
 // ---------------------------------------------------------------------------
-
-namespace {
-
-void encode_status(const Status& s, Encoder* e) {
-  e->u16(status_code_to_wire(s.code()));
-  e->str(s.message());
-}
-
-bool decode_status(Decoder* d, Status* s) {
-  std::uint16_t wire;
-  std::string message;
-  if (!d->u16(&wire) || !d->str(&message)) return false;
-  *s = Status(status_code_from_wire(wire), std::move(message));
-  return true;
-}
-
-}  // namespace
 
 void encode_hello(const HelloRequest& m, Encoder* e) {
   e->u16(m.min_version);
@@ -212,188 +46,6 @@ void encode_hello_reply(const HelloReply& m, Encoder* e) {
 bool decode_hello_reply(Decoder* d, HelloReply* m) {
   return d->u16(&m->version) && d->str(&m->server_name) &&
          d->u64(&m->session) && d->finish();
-}
-
-void encode_run_request(const runtime::RunRequest& m, Encoder* e) {
-  e->str(m.tenant);
-  e->u64(m.session);
-  if (m.qubo) {
-    e->u8(kPayloadQubo);
-    e->u32(static_cast<std::uint32_t>(m.qubo->size()));
-    e->u32(static_cast<std::uint32_t>(m.qubo->terms().size()));
-    for (const auto& [ij, w] : m.qubo->terms()) {
-      e->u32(static_cast<std::uint32_t>(ij.first));
-      e->u32(static_cast<std::uint32_t>(ij.second));
-      e->f64(w);
-    }
-  } else {
-    e->u8(kPayloadGateText);
-    // A structured program is flattened to cQASM source; the server parses
-    // at dispatch, so both submission styles meet on the same bytes.
-    e->str(m.program_text ? *m.program_text
-                          : (m.program ? qasm::to_cqasm(*m.program)
-                                       : std::string()));
-  }
-  e->u64(m.shots);
-  e->u64(m.seed);
-  e->i32(m.priority);
-  if (m.deadline) {
-    e->u8(1);
-    e->u64(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(*m.deadline)
-            .count()));
-  } else {
-    e->u8(0);
-  }
-  e->u64(m.sim_threads);
-  e->str(m.tag);
-  e->str(m.idempotency_key);  // v3
-  e->u8(static_cast<std::uint8_t>(m.precision));  // v4
-}
-
-bool decode_run_request(Decoder* d, runtime::RunRequest* m) {
-  *m = runtime::RunRequest{};
-  std::uint8_t payload_tag;
-  if (!d->str(&m->tenant) || !d->u64(&m->session) || !d->u8(&payload_tag))
-    return false;
-  if (payload_tag == kPayloadGateText) {
-    std::string text;
-    if (!d->str(&text)) return false;
-    m->program_text = std::move(text);
-  } else if (payload_tag == kPayloadQubo) {
-    std::uint32_t n, terms;
-    if (!d->u32(&n) || !d->u32(&terms)) return false;
-    anneal::Qubo qubo(n);
-    for (std::uint32_t t = 0; t < terms; ++t) {
-      std::uint32_t i, j;
-      double w;
-      if (!d->u32(&i) || !d->u32(&j) || !d->f64(&w)) return false;
-      if (i >= n || j >= n) {
-        d->fail("qubo term index out of range");
-        return false;
-      }
-      qubo.add(i, j, w);
-    }
-    m->qubo = std::move(qubo);
-  } else {
-    d->fail("unknown run-request payload tag");
-    return false;
-  }
-  std::uint64_t shots, seed, deadline_us, sim_threads;
-  std::uint8_t has_deadline, precision;
-  if (!d->u64(&shots) || !d->u64(&seed) || !d->i32(&m->priority) ||
-      !d->u8(&has_deadline) ||
-      (has_deadline != 0 && !d->u64(&deadline_us)) || !d->u64(&sim_threads) ||
-      !d->str(&m->tag) || !d->str(&m->idempotency_key) ||
-      !d->u8(&precision) ||  // v4
-      !d->finish())
-    return false;
-  if (has_deadline > 1) {
-    d->fail("bad deadline flag");
-    return false;
-  }
-  if (precision > 1) {
-    d->fail("bad precision tier");
-    return false;
-  }
-  m->precision = static_cast<Precision>(precision);
-  m->shots = static_cast<std::size_t>(shots);
-  m->seed = seed;
-  if (has_deadline)
-    m->deadline = std::chrono::microseconds(deadline_us);
-  m->sim_threads = static_cast<std::size_t>(sim_threads);
-  return true;
-}
-
-void encode_run_result(const runtime::RunResult& m, Encoder* e) {
-  e->u64(m.job_id);
-  e->u8(m.kind == runtime::JobKind::Gate ? kKindGate : kKindAnneal);
-  e->str(m.tag);
-  encode_status(m.status, e);
-  e->histogram(m.histogram);
-  e->u32(static_cast<std::uint32_t>(m.best_solution.size()));
-  for (int bit : m.best_solution) e->i32(bit);
-  e->f64(m.best_energy);
-  e->f64(m.stats.queue_wait_us);
-  e->f64(m.stats.run_us);
-  e->u8(m.stats.compile_cache_hit ? 1 : 0);
-  e->u64(m.stats.retries);
-  e->u64(m.stats.shards);
-  e->u64(m.stats.failovers);
-  e->u64(m.stats.shards_resumed);
-  e->u64(m.stats.shards_executed);
-  e->u64(m.stats.dispatch_seq);
-  e->u8(m.stats.sampled ? 1 : 0);
-  e->u8(m.stats.final_state_cache_hit ? 1 : 0);
-  e->u8(static_cast<std::uint8_t>(m.stats.compile_cache_tier));
-  e->u8(static_cast<std::uint8_t>(m.stats.final_state_cache_tier));
-  e->u8(m.stats.journal_recovered ? 1 : 0);  // v3
-  e->u8(m.stats.idempotent_hit ? 1 : 0);     // v3
-  e->u8(static_cast<std::uint8_t>(m.stats.precision));  // v4
-  e->u64(m.stats.fused_gates);                          // v4
-  e->u64(m.stats.fused_ops);                            // v4
-  e->u64(m.stats.fused_max_run);                        // v4
-}
-
-bool decode_run_result(Decoder* d, runtime::RunResult* m) {
-  *m = runtime::RunResult{};
-  std::uint8_t kind;
-  if (!d->u64(&m->job_id) || !d->u8(&kind) || !d->str(&m->tag) ||
-      !decode_status(d, &m->status) || !d->histogram(&m->histogram))
-    return false;
-  if (kind != kKindGate && kind != kKindAnneal) {
-    d->fail("unknown job kind");
-    return false;
-  }
-  m->kind = kind == kKindGate ? runtime::JobKind::Gate
-                              : runtime::JobKind::Anneal;
-  std::uint32_t bits;
-  if (!d->u32(&bits)) return false;
-  m->best_solution.clear();
-  for (std::uint32_t i = 0; i < bits; ++i) {
-    std::int32_t bit;
-    if (!d->i32(&bit)) return false;
-    m->best_solution.push_back(bit);
-  }
-  std::uint64_t retries, shards, failovers, resumed, executed, dispatch_seq;
-  std::uint64_t fused_gates, fused_ops, fused_max_run;
-  std::uint8_t cache_hit, sampled, fsc_hit, compile_tier, final_tier;
-  std::uint8_t recovered, idem_hit, precision;
-  if (!d->f64(&m->best_energy) || !d->f64(&m->stats.queue_wait_us) ||
-      !d->f64(&m->stats.run_us) || !d->u8(&cache_hit) || !d->u64(&retries) ||
-      !d->u64(&shards) || !d->u64(&failovers) || !d->u64(&resumed) ||
-      !d->u64(&executed) || !d->u64(&dispatch_seq) || !d->u8(&sampled) ||
-      !d->u8(&fsc_hit) || !d->u8(&compile_tier) || !d->u8(&final_tier) ||
-      !d->u8(&recovered) || !d->u8(&idem_hit) ||
-      !d->u8(&precision) || !d->u64(&fused_gates) ||  // v4
-      !d->u64(&fused_ops) || !d->u64(&fused_max_run) || !d->finish())
-    return false;
-  if (compile_tier > 2 || final_tier > 2) {
-    d->fail("bad store tier");
-    return false;
-  }
-  if (precision > 1) {
-    d->fail("bad precision tier");
-    return false;
-  }
-  m->stats.precision = static_cast<Precision>(precision);
-  m->stats.fused_gates = static_cast<std::size_t>(fused_gates);
-  m->stats.fused_ops = static_cast<std::size_t>(fused_ops);
-  m->stats.fused_max_run = static_cast<std::size_t>(fused_max_run);
-  m->stats.compile_cache_tier = static_cast<runtime::CacheTier>(compile_tier);
-  m->stats.final_state_cache_tier = static_cast<runtime::CacheTier>(final_tier);
-  m->stats.compile_cache_hit = cache_hit != 0;
-  m->stats.retries = static_cast<std::size_t>(retries);
-  m->stats.shards = static_cast<std::size_t>(shards);
-  m->stats.failovers = static_cast<std::size_t>(failovers);
-  m->stats.shards_resumed = static_cast<std::size_t>(resumed);
-  m->stats.shards_executed = static_cast<std::size_t>(executed);
-  m->stats.dispatch_seq = dispatch_seq;
-  m->stats.sampled = sampled != 0;
-  m->stats.final_state_cache_hit = fsc_hit != 0;
-  m->stats.journal_recovered = recovered != 0;
-  m->stats.idempotent_hit = idem_hit != 0;
-  return true;
 }
 
 void encode_submit_reply(const SubmitReply& m, Encoder* e) { e->u64(m.job_id); }
@@ -476,7 +128,7 @@ constexpr std::size_t kHeaderBytes = 12;
 
 Status read_frame(const Socket& sock, Frame* frame,
                   std::uint16_t min_version) {
-  std::uint8_t hdr[kHeaderBytes];
+  char hdr[kHeaderBytes];
   if (Status s = read_exact(sock, hdr, sizeof hdr); !s.ok()) return s;
 
   Decoder d(hdr, sizeof hdr);
@@ -508,8 +160,7 @@ Status read_frame(const Socket& sock, Frame* frame,
   return Status::Ok();
 }
 
-Status write_frame(const Socket& sock, Op op,
-                   const std::vector<std::uint8_t>& payload,
+Status write_frame(const Socket& sock, Op op, std::string_view payload,
                    std::uint16_t version) {
   if (payload.size() > kMaxPayloadBytes)
     return Status::InvalidArgument("frame payload exceeds 16MiB cap");
@@ -518,9 +169,8 @@ Status write_frame(const Socket& sock, Op op,
   e.u16(version);
   e.u16(static_cast<std::uint16_t>(op));
   e.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> buf = e.take();
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  return write_all(sock, buf.data(), buf.size());
+  e.raw(payload);
+  return write_all(sock, e.bytes().data(), e.bytes().size());
 }
 
 }  // namespace qs::gateway

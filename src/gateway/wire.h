@@ -9,11 +9,12 @@
 //   8       4     length     payload byte count (LE), <= kMaxPayloadBytes
 //   12      len   payload    op-specific body, little-endian primitives
 //
-// Integers are little-endian; f64 is the IEEE-754 bit pattern as u64;
-// strings are u32 length + raw bytes; histograms are u32 entry count +
-// (string key, u64 count) pairs in key order. Decoders are total: any
-// truncation, overflow, oversized length or bad tag decodes to a typed
-// kInvalidArgument — never a crash, never an uncaught exception.
+// Payloads use the stack's shared byte codec (common/codec.h: LE
+// integers, f64 bit patterns, u32-length strings and histograms); the
+// Submit and PollOk bodies are the RunRequest / RunResult bodies of
+// runtime/run_codec.h. Decoders are total: any truncation, overflow,
+// oversized length or bad tag decodes to a typed kInvalidArgument —
+// never a crash, never an uncaught exception.
 //
 // Connection lifecycle: the client's first frame must be Hello carrying
 // [min_version, max_version]; the server answers HelloOk with the
@@ -25,14 +26,25 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
+#include "common/codec.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "gateway/socket.h"
 #include "runtime/run_api.h"
+#include "runtime/run_codec.h"
 
 namespace qs::gateway {
+
+// The codec and the run bodies live below the gateway (common/, runtime/)
+// because the journal shares them; these keep the wire's names.
+using qs::Decoder;
+using qs::Encoder;
+using runtime::decode_run_request;
+using runtime::decode_run_result;
+using runtime::encode_run_request;
+using runtime::encode_run_result;
 
 inline constexpr std::uint32_t kMagic = 0x51474154;  // "QGAT"
 /// Highest protocol version this build speaks / lowest it still accepts.
@@ -75,71 +87,7 @@ const char* to_string(Op op);
 struct Frame {
   Op op = Op::kError;
   std::uint16_t version = kProtocolVersion;
-  std::vector<std::uint8_t> payload;
-};
-
-// ---------------------------------------------------------------------------
-// Encoder / decoder primitives
-// ---------------------------------------------------------------------------
-
-/// Append-only little-endian byte sink.
-class Encoder {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f64(double v);
-  void str(const std::string& s);
-  void histogram(const Histogram& h);
-
-  const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian reader over a payload. Every accessor
-/// returns false (and latches a kInvalidArgument status) on truncation;
-/// decode functions bail out on the first failure. A decoder never reads
-/// past its buffer and never throws.
-class Decoder {
- public:
-  Decoder(const std::uint8_t* data, std::size_t size)
-      : p_(data), n_(size) {}
-  explicit Decoder(const std::vector<std::uint8_t>& payload)
-      : Decoder(payload.data(), payload.size()) {}
-
-  bool u8(std::uint8_t* v);
-  bool u16(std::uint16_t* v);
-  bool u32(std::uint32_t* v);
-  bool u64(std::uint64_t* v);
-  bool i32(std::int32_t* v);
-  bool f64(double* v);
-  bool str(std::string* s);
-  bool histogram(Histogram* h);
-
-  /// True when the payload was consumed exactly; trailing garbage is a
-  /// framing error (fail()s the decoder).
-  bool finish();
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-  std::size_t remaining() const { return n_ - off_; }
-
-  /// Latches a decode failure (used by message-level decoders for value
-  /// errors, e.g. an unknown enum tag).
-  void fail(std::string message);
-
- private:
-  bool need(std::size_t k);
-
-  const std::uint8_t* p_;
-  std::size_t n_;
-  std::size_t off_ = 0;
-  Status status_;
+  std::string payload;
 };
 
 // ---------------------------------------------------------------------------
@@ -203,17 +151,6 @@ bool decode_hello(Decoder* d, HelloRequest* m);
 void encode_hello_reply(const HelloReply& m, Encoder* e);
 bool decode_hello_reply(Decoder* d, HelloReply* m);
 
-/// RunRequest on the wire. Carried fields: tenant, session, payload (cQASM
-/// text or QUBO terms), shots, seed, priority, deadline_us, sim_threads,
-/// tag, idempotency_key (v3), precision (v4). Not carried (host-side
-/// concerns): faults, checkpoint_key; a structured `program` is printed to
-/// cQASM text by the client library.
-void encode_run_request(const runtime::RunRequest& m, Encoder* e);
-bool decode_run_request(Decoder* d, runtime::RunRequest* m);
-
-void encode_run_result(const runtime::RunResult& m, Encoder* e);
-bool decode_run_result(Decoder* d, runtime::RunResult* m);
-
 void encode_submit_reply(const SubmitReply& m, Encoder* e);
 bool decode_submit_reply(Decoder* d, SubmitReply* m);
 void encode_poll(const PollRequest& m, Encoder* e);
@@ -243,8 +180,7 @@ Status read_frame(const Socket& sock, Frame* frame,
                   std::uint16_t min_version = kProtocolVersionMin);
 
 /// Writes header + payload as one buffer (one syscall on the fast path).
-Status write_frame(const Socket& sock, Op op,
-                   const std::vector<std::uint8_t>& payload,
+Status write_frame(const Socket& sock, Op op, std::string_view payload,
                    std::uint16_t version = kProtocolVersion);
 
 }  // namespace qs::gateway

@@ -61,6 +61,9 @@ Status RunRequest::validate() const {
   if (deadline && deadline->count() <= 0)
     return Status::InvalidArgument(
         "RunRequest: deadline must be positive when set");
+  if (deadline && *deadline > kMaxDeadline)
+    return Status::InvalidArgument(
+        "RunRequest: deadline longer than kMaxDeadline (100 years)");
   if (tenant.size() > 64)
     return Status::InvalidArgument(
         "RunRequest: tenant name longer than 64 characters");

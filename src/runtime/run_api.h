@@ -100,6 +100,11 @@ struct FaultPlan {
   bool backend_fault(const std::string& backend, BackendFaultKind kind) const;
 };
 
+/// Longest relative deadline a request may carry: far past any job, and
+/// short enough that submit time + deadline cannot overflow the steady
+/// clock (the wire decoder refuses longer ones before converting).
+inline constexpr std::chrono::hours kMaxDeadline{24 * 365 * 100};
+
 /// A unit of work. Exactly one of `program` / `program_text` (gate model)
 /// or `qubo` (annealing model) must be set.
 struct RunRequest {
@@ -126,6 +131,7 @@ struct RunRequest {
   /// Relative deadline, measured from submission. An expired job is
   /// rejected on dequeue (never dispatched) or stopped between shards /
   /// shots while running; either way it resolves to kDeadlineExceeded.
+  /// At most kMaxDeadline.
   std::optional<std::chrono::steady_clock::duration> deadline;
 
   /// Gate model: intra-shot simulator threads (0 = service/accelerator

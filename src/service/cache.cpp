@@ -2,26 +2,19 @@
 
 #include <utility>
 
+#include "common/codec.h"
 #include "common/hash.h"
 #include "microarch/eqasm_parser.h"
 #include "qasm/parser.h"
-#include "store/blob.h"
 
 namespace qs::service {
 
-namespace {
-
-/// Builds the codec for one revive context. The payload carries the
-/// artefact's *textual* forms — exact-round-trip cQASM and eQASM — plus
-/// the headline gate counts; the flatten and the trajectory analysis are
-/// cheap pure functions of the program and are recomputed on revival
-/// (per-pass compiler stats are not persisted and revive as zeros).
-store::Codec<CompiledEntry> make_codec(
+store::Codec<CompiledEntry> compiled_entry_codec(
     CompiledProgramCache::ReviveContext ctx) {
   store::Codec<CompiledEntry> codec;
 
   codec.encode = [](const CompiledEntry& entry) {
-    store::BlobWriter w;
+    Encoder w;
     w.u64(entry.key);
     w.str(entry.compiled.cqasm);
     w.u8(entry.eqasm ? 1 : 0);
@@ -34,7 +27,7 @@ store::Codec<CompiledEntry> make_codec(
 
   codec.decode =
       [ctx](const std::string& payload) -> std::shared_ptr<const CompiledEntry> {
-    store::BlobReader r(payload);
+    Decoder r(payload);
     auto entry = std::make_shared<CompiledEntry>();
     std::uint8_t has_eqasm = 0;
     std::string eqasm_text;
@@ -42,7 +35,7 @@ store::Codec<CompiledEntry> make_codec(
     if (!r.u64(&entry->key) || !r.str(&entry->compiled.cqasm) ||
         !r.u8(&has_eqasm) || has_eqasm > 1 ||
         (has_eqasm && !r.str(&eqasm_text)) || !r.u64(&gates_before) ||
-        !r.u64(&gates_after) || !r.u64(&two_qubit) || !r.done())
+        !r.u64(&gates_after) || !r.u64(&two_qubit) || !r.finish())
       return nullptr;
     // A payload from a store shared with a micro-arch pool may lack the
     // eQASM this pool needs: reject (→ recompile) rather than serve an
@@ -82,8 +75,6 @@ store::Codec<CompiledEntry> make_codec(
   return codec;
 }
 
-}  // namespace
-
 std::uint64_t compiled_program_key(const std::string& cqasm_text,
                                    std::uint64_t platform_fingerprint,
                                    std::uint64_t options_fingerprint) {
@@ -116,11 +107,11 @@ std::size_t compiled_entry_bytes(const CompiledEntry& entry) {
 CompiledProgramCache::CompiledProgramCache(std::size_t memory_budget_bytes)
     : store_(std::make_shared<store::ArtifactStore>(store::StoreOptions{
           memory_budget_bytes, /*directory=*/""})),
-      codec_(make_codec(ReviveContext{})) {}
+      codec_(compiled_entry_codec(ReviveContext{})) {}
 
 CompiledProgramCache::CompiledProgramCache(
     std::shared_ptr<store::ArtifactStore> store, ReviveContext revive)
-    : store_(std::move(store)), codec_(make_codec(revive)) {}
+    : store_(std::move(store)), codec_(compiled_entry_codec(revive)) {}
 
 std::shared_ptr<const CompiledEntry> CompiledProgramCache::lookup(
     std::uint64_t key, store::Outcome* outcome) {

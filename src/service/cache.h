@@ -118,4 +118,13 @@ class CompiledProgramCache {
   store::Codec<CompiledEntry> codec_;
 };
 
+/// The compiled-entry store codec for one revive context (exposed for
+/// tests). The payload carries the artefact's *textual* forms —
+/// exact-round-trip cQASM and eQASM — plus the headline gate counts; the
+/// flatten and the trajectory analysis are cheap pure functions of the
+/// program and are recomputed on revival (per-pass compiler stats are not
+/// persisted and revive as zeros).
+store::Codec<CompiledEntry> compiled_entry_codec(
+    CompiledProgramCache::ReviveContext revive);
+
 }  // namespace qs::service

@@ -1,23 +1,14 @@
 #include "service/checkpoint.h"
 
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/codec.h"
 #include "service/job.h"
 
 namespace qs::service {
 
 namespace {
-
-/// Bitstring keys and solutions are written verbatim; doubles round-trip
-/// through max_digits10 so a resumed best_energy compares exactly equal.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 Status malformed(const std::string& what) {
   return Status::InvalidArgument("JobCheckpoint: malformed snapshot: " + what);
@@ -32,75 +23,57 @@ std::size_t JobCheckpoint::completed() const {
 }
 
 std::string JobCheckpoint::serialize() const {
-  std::ostringstream out;
-  out << "qs-checkpoint v1\n";
-  out << "fingerprint " << fingerprint << "\n";
-  out << "shards " << shards << "\n";
+  Encoder e;
+  e.u64(fingerprint);
+  e.u32(static_cast<std::uint32_t>(shards));
+  e.u32(static_cast<std::uint32_t>(completed()));
   for (std::size_t i = 0; i < shard_done.size(); ++i)
-    if (shard_done[i]) out << "done " << i << "\n";
+    if (shard_done[i]) e.u32(static_cast<std::uint32_t>(i));
+  e.u8(has_best ? 1 : 0);
   if (has_best) {
-    out << "best " << format_double(best_energy) << " " << best_read << " ";
-    for (int b : best_solution) out << (b ? '1' : '0');
-    out << "\n";
+    e.f64(best_energy);
+    e.u64(best_read);
+    std::string bits;
+    for (int b : best_solution) bits.push_back(b ? '1' : '0');
+    e.str(bits);
   }
-  for (const auto& [bits, n] : merged.counts())
-    out << "count " << bits << " " << n << "\n";
-  out << "end\n";
-  return out.str();
+  e.histogram(merged);
+  return e.take();
 }
 
-StatusOr<JobCheckpoint> JobCheckpoint::deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "qs-checkpoint v1")
-    return malformed("missing header");
-
+StatusOr<JobCheckpoint> JobCheckpoint::deserialize(std::string_view bytes) {
+  Decoder d(bytes);
   JobCheckpoint cp;
-  bool saw_fingerprint = false, saw_shards = false, saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "fingerprint") {
-      if (!(fields >> cp.fingerprint)) return malformed(line);
-      saw_fingerprint = true;
-    } else if (tag == "shards") {
-      if (!(fields >> cp.shards) || cp.shards > kMaxShards)
-        return malformed(line);
-      cp.shard_done.assign(cp.shards, 0);
-      saw_shards = true;
-    } else if (tag == "done") {
-      std::size_t index = 0;
-      if (!saw_shards || !(fields >> index) || index >= cp.shards)
-        return malformed(line);
-      cp.shard_done[index] = 1;
-    } else if (tag == "best") {
-      std::string bits;
-      if (!(fields >> cp.best_energy >> cp.best_read >> bits))
-        return malformed(line);
-      cp.has_best = true;
-      cp.best_solution.clear();
-      for (char c : bits) {
-        if (c != '0' && c != '1') return malformed(line);
-        cp.best_solution.push_back(c == '1' ? 1 : 0);
-      }
-    } else if (tag == "count") {
-      std::string bits;
-      std::size_t n = 0;
-      if (!(fields >> bits >> n) || n == 0) return malformed(line);
-      cp.merged.add(bits, n);
-    } else if (tag == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return malformed(line);
+  std::uint32_t shards, done;
+  if (!d.u64(&cp.fingerprint) || !d.u32(&shards) || !d.u32(&done))
+    return malformed(d.status().message());
+  if (shards > kMaxShards) return malformed("shard count above kMaxShards");
+  cp.shards = shards;
+  cp.shard_done.assign(cp.shards, 0);
+  for (std::uint32_t i = 0; i < done; ++i) {
+    std::uint32_t index;
+    if (!d.u32(&index)) return malformed(d.status().message());
+    if (index >= shards) return malformed("done index out of range");
+    cp.shard_done[index] = 1;
+  }
+  std::uint8_t has_best;
+  if (!d.u8(&has_best) || has_best > 1) return malformed("bad best flag");
+  cp.has_best = has_best != 0;
+  if (cp.has_best) {
+    std::string bits;
+    if (!d.f64(&cp.best_energy) || !d.u64(&cp.best_read) || !d.str(&bits))
+      return malformed(d.status().message());
+    for (char c : bits) {
+      if (c != '0' && c != '1') return malformed("best bits not binary");
+      cp.best_solution.push_back(c == '1' ? 1 : 0);
     }
   }
-  // The trailing "end" marker distinguishes a complete snapshot from a
-  // torn write; refuse anything that is not provably whole.
-  if (!saw_fingerprint || !saw_shards || !saw_end)
-    return malformed("truncated snapshot");
+  if (!d.histogram(&cp.merged)) return malformed(d.status().message());
+  for (const auto& [key, n] : cp.merged.counts())
+    if (n == 0) return malformed("zero count for '" + key + "'");
+  // Exact consumption distinguishes a complete snapshot from a torn or
+  // padded one; refuse anything that is not provably whole.
+  if (!d.finish()) return malformed(d.status().message());
   return cp;
 }
 
@@ -123,13 +96,13 @@ Status StoreCheckpointStore::save(const std::string& key,
 
 std::optional<JobCheckpoint> StoreCheckpointStore::load(
     const std::string& key) {
-  std::optional<std::string> text = store_->get_bytes(
+  std::optional<std::string> bytes = store_->get_bytes(
       store::ArtifactKey::checkpoint(key), use_memory_tier());
-  if (!text) return std::nullopt;
+  if (!bytes) return std::nullopt;
   // Second verification layer: the store proved the bytes whole, the
   // deserializer proves they parse. A torn or hand-edited snapshot is
   // refused either way — the resumed job just starts fresh.
-  StatusOr<JobCheckpoint> cp = JobCheckpoint::deserialize(*text);
+  StatusOr<JobCheckpoint> cp = JobCheckpoint::deserialize(*bytes);
   if (!cp.ok()) return std::nullopt;
   return std::move(*cp);
 }

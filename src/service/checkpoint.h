@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -41,17 +42,21 @@ struct JobCheckpoint {
 
   std::size_t completed() const;
 
-  /// Line-based text form (stable across platforms, safe to diff):
-  ///   qs-checkpoint v1
-  ///   fingerprint <u64> / shards <n> / done <i>... / best ... / count ...
+  /// Binary form in the shared codec (common/codec.h), fixed-width
+  /// little-endian so it is stable across platforms:
+  ///   fingerprint u64, shards u32, done count u32, done index u32...,
+  ///   has_best u8 [best_energy f64, best_read u64, best bits str of
+  ///   '0'/'1'], merged histogram (as on the gateway wire).
   std::string serialize() const;
 
-  /// Inverse of serialize(). kInvalidArgument on any malformed line —
-  /// a torn or hand-edited snapshot is refused, never half-applied.
-  static StatusOr<JobCheckpoint> deserialize(const std::string& text);
+  /// Inverse of serialize(). kInvalidArgument on truncation, a shard
+  /// count above kMaxShards, a done index >= shards, non-binary best
+  /// bits, a zero histogram count or trailing bytes — a torn or
+  /// hand-edited snapshot is refused, never half-applied.
+  static StatusOr<JobCheckpoint> deserialize(std::string_view bytes);
 };
 
-/// Checkpoints as ArtifactStore entries: the snapshot text rides the
+/// Checkpoints as ArtifactStore entries: the snapshot bytes ride the
 /// store's verified on-disk layout (tmp+rename atomicity, magic + length
 /// + checksum on load), making the checkpoint store one more artifact
 /// kind rather than its own persistence mechanism. When the store has a

@@ -2,21 +2,16 @@
 
 #include <sstream>
 
+#include "common/codec.h"
 #include "common/hash.h"
-#include "store/blob.h"
 
 namespace qs::service {
 
-namespace {
-
-/// Raw-bit payload: metadata as u64s, amplitudes' prefix sums as IEEE-754
-/// bit patterns. Never decimal formatting — the bit-identity regression
-/// test (store-loaded vs freshly-evolved) holds exactly because of this.
-store::Codec<sim::FinalDistribution> make_codec() {
+store::Codec<sim::FinalDistribution> final_distribution_codec() {
   store::Codec<sim::FinalDistribution> codec;
 
   codec.encode = [](const sim::FinalDistribution& dist) {
-    store::BlobWriter w;
+    Encoder w;
     w.u64(dist.qubit_count);
     w.u64(static_cast<std::uint64_t>(dist.measured_mask));
     w.u64(dist.gates);
@@ -27,10 +22,15 @@ store::Codec<sim::FinalDistribution> make_codec() {
 
   codec.decode = [](const std::string& payload)
       -> std::shared_ptr<const sim::FinalDistribution> {
-    store::BlobReader r(payload);
+    Decoder r(payload);
     auto dist = std::make_shared<sim::FinalDistribution>();
     std::uint64_t qubits, mask, gates, n;
     if (!r.u64(&qubits) || !r.u64(&mask) || !r.u64(&gates) || !r.u64(&n))
+      return nullptr;
+    // Shape check before allocating: a distribution over q qubits has
+    // exactly 2^q buckets, and they must all be present in the payload.
+    if (qubits >= 64 || n != (std::uint64_t{1} << qubits) ||
+        n > r.remaining() / sizeof(double))
       return nullptr;
     dist->qubit_count = static_cast<std::size_t>(qubits);
     dist->measured_mask = static_cast<StateIndex>(mask);
@@ -38,11 +38,7 @@ store::Codec<sim::FinalDistribution> make_codec() {
     dist->cum.resize(static_cast<std::size_t>(n));
     for (double& v : dist->cum)
       if (!r.f64(&v)) return nullptr;
-    if (!r.done()) return nullptr;
-    // Shape check: a distribution over q qubits has exactly 2^q buckets.
-    if (dist->qubit_count >= 64 ||
-        dist->cum.size() != (std::size_t{1} << dist->qubit_count))
-      return nullptr;
+    if (!r.finish()) return nullptr;
     return dist;
   };
 
@@ -51,8 +47,6 @@ store::Codec<sim::FinalDistribution> make_codec() {
   };
   return codec;
 }
-
-}  // namespace
 
 std::uint64_t final_state_key(std::uint64_t compiled_key,
                               const sim::QubitModel& model,
@@ -76,10 +70,10 @@ std::uint64_t final_state_key(std::uint64_t compiled_key,
 FinalStateCache::FinalStateCache(std::size_t capacity_bytes)
     : store_(std::make_shared<store::ArtifactStore>(store::StoreOptions{
           capacity_bytes, /*directory=*/""})),
-      codec_(make_codec()) {}
+      codec_(final_distribution_codec()) {}
 
 FinalStateCache::FinalStateCache(std::shared_ptr<store::ArtifactStore> store)
-    : store_(std::move(store)), codec_(make_codec()) {}
+    : store_(std::move(store)), codec_(final_distribution_codec()) {}
 
 std::shared_ptr<const sim::FinalDistribution> FinalStateCache::lookup(
     std::uint64_t key, store::Outcome* outcome) {

@@ -12,7 +12,7 @@
 // layer's bit-identity contract makes it thread-count-independent.
 //
 // Entries are O(2^n) doubles, persisted as raw IEEE-754 bit patterns
-// (blob.h): a store-loaded distribution is bit-identical to the
+// (common/codec.h): a store-loaded distribution is bit-identical to the
 // freshly-evolved one, so the sampled histogram cannot depend on whether
 // the bytes came from memory, disk, or an evolution.
 #pragma once
@@ -37,6 +37,12 @@ std::uint64_t final_state_key(std::uint64_t compiled_key,
                               bool fused_kernels,
                               Precision precision = Precision::kF64,
                               bool fused_sequences = false);
+
+/// The final-distribution store codec (exposed for tests). Raw-bit
+/// payload: metadata as u64s, amplitudes' prefix sums as IEEE-754 bit
+/// patterns. Never decimal formatting — the bit-identity regression test
+/// (store-loaded vs freshly-evolved) holds exactly because of this.
+store::Codec<sim::FinalDistribution> final_distribution_codec();
 
 /// Typed view over the ArtifactStore for final-state distributions.
 /// Thread-safe (the store is).

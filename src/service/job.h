@@ -80,7 +80,7 @@ class JobHandle {
 std::size_t shard_count(std::size_t shots, std::size_t shard_shots);
 
 /// Most shards one job may plan. Per-shard bookkeeping (done flags, worker
-/// tasks, checkpoint lines) is sized up front from a client-chosen shot
+/// tasks, checkpoint done flags) is sized up front from a client-chosen shot
 /// count, so submission refuses a larger plan and a checkpoint claiming
 /// more shards is refused on load.
 inline constexpr std::size_t kMaxShards = std::size_t{1} << 20;

@@ -1,14 +1,11 @@
 #include "service/journal.h"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
+#include "common/codec.h"
 #include "common/hash.h"
-#include "qasm/printer.h"
-#include "store/blob.h"
+#include "runtime/run_codec.h"
 
 namespace qs::service {
 
@@ -16,189 +13,48 @@ namespace {
 
 /// File header: identifies the format so a foreign file in store_dir is
 /// never misparsed as a journal.
-constexpr char kJournalMagic[8] = {'Q', 'S', 'J', 'R', 'N', 'L', '1', '\n'};
-constexpr std::size_t kFrameHeaderBytes = 16;  // u64 len + u64 checksum
+constexpr char kJournalMagic[8] = {'Q', 'S', 'J', 'R', 'N', 'L', '2', '\n'};
 
-std::uint64_t read_u64le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  return v;
+JournalRecordType terminal_type(const Status& status) {
+  if (status.ok()) return JournalRecordType::kCompleted;
+  return status.code() == StatusCode::kCancelled ? JournalRecordType::kCancelled
+                                                 : JournalRecordType::kFailed;
 }
-
-constexpr std::uint8_t kPayloadGateText = 0;
-constexpr std::uint8_t kPayloadQubo = 1;
 
 }  // namespace
 
 // ------------------------------------------------------------- codecs ----
 
-std::string JobJournal::encode_request(const runtime::RunRequest& m) {
-  store::BlobWriter e;
-  if (m.qubo) {
-    e.u8(kPayloadQubo);
-    e.u64(m.qubo->size());
-    e.u64(m.qubo->terms().size());
-    for (const auto& [ij, w] : m.qubo->terms()) {
-      e.u64(ij.first);
-      e.u64(ij.second);
-      e.f64(w);
-    }
-  } else {
-    // Structured programs are journalled as their canonical cQASM print —
-    // the same text the gateway sends — so replayed jobs parse at dispatch
-    // exactly like live ones.
-    e.u8(kPayloadGateText);
-    e.str(m.program_text ? *m.program_text
-                         : (m.program ? qasm::to_cqasm(*m.program)
-                                      : std::string()));
-  }
-  e.u64(m.shots);
-  e.u64(m.seed);
-  e.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(m.priority)));
-  e.u8(m.deadline ? 1 : 0);
-  if (m.deadline)
-    e.u64(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(*m.deadline)
-            .count()));
-  e.u64(m.sim_threads);
-  e.str(m.tag);
-  e.str(m.tenant);
-  e.u64(m.session);
-  e.str(m.checkpoint_key);
-  e.str(m.idempotency_key);
-  // Precision is part of the request fingerprint, so a recovered job
-  // must replay at the tier it was admitted at.
-  e.u8(static_cast<std::uint8_t>(m.precision));
-  // Not carried (host-side concerns): faults.
+std::string JobJournal::encode_request(const runtime::RunRequest& request) {
+  // The checkpoint key is host-side (never on the wire), so it leads and
+  // the wire body follows verbatim — decode_run_request ends the record
+  // with its own finish().
+  Encoder e;
+  e.str(request.checkpoint_key);
+  runtime::encode_run_request(request, &e);
   return e.take();
 }
 
-bool JobJournal::decode_request(const std::string& payload,
+bool JobJournal::decode_request(std::string_view payload,
                                 runtime::RunRequest* out) {
-  store::BlobReader r(payload);
-  runtime::RunRequest m;
-  std::uint8_t tag;
-  if (!r.u8(&tag)) return false;
-  if (tag == kPayloadQubo) {
-    std::uint64_t size, terms;
-    if (!r.u64(&size) || !r.u64(&terms)) return false;
-    anneal::Qubo q(static_cast<std::size_t>(size));
-    for (std::uint64_t t = 0; t < terms; ++t) {
-      std::uint64_t i, j;
-      double w;
-      if (!r.u64(&i) || !r.u64(&j) || !r.f64(&w)) return false;
-      if (i >= size || j >= size) return false;
-      q.add(static_cast<std::size_t>(i), static_cast<std::size_t>(j), w);
-    }
-    m.qubo = std::move(q);
-  } else if (tag == kPayloadGateText) {
-    std::string text;
-    if (!r.str(&text)) return false;
-    m.program_text = std::move(text);
-  } else {
+  Decoder d(payload);
+  std::string checkpoint_key;
+  if (!d.str(&checkpoint_key) || !runtime::decode_run_request(&d, out))
     return false;
-  }
-  std::uint64_t shots, seed, priority, sim_threads, session;
-  std::uint8_t has_deadline;
-  if (!r.u64(&shots) || !r.u64(&seed) || !r.u64(&priority) ||
-      !r.u8(&has_deadline))
-    return false;
-  if (has_deadline) {
-    std::uint64_t us;
-    if (!r.u64(&us)) return false;
-    m.deadline = std::chrono::microseconds(us);
-  }
-  if (!r.u64(&sim_threads) || !r.str(&m.tag) || !r.str(&m.tenant) ||
-      !r.u64(&session) || !r.str(&m.checkpoint_key) ||
-      !r.str(&m.idempotency_key))
-    return false;
-  // Trailing field, absent in journals written before precision tiers
-  // existed; those jobs ran (and therefore replay) at f64.
-  std::uint8_t precision = 0;
-  if (!r.done() && (!r.u8(&precision) || precision > 1)) return false;
-  m.precision = static_cast<Precision>(precision);
-  if (!r.done()) return false;
-  m.shots = static_cast<std::size_t>(shots);
-  m.seed = seed;
-  m.priority =
-      static_cast<int>(static_cast<std::int64_t>(priority));
-  m.sim_threads = static_cast<std::size_t>(sim_threads);
-  m.session = session;
-  *out = std::move(m);
+  out->checkpoint_key = std::move(checkpoint_key);
   return true;
 }
 
-std::string JobJournal::encode_result(const runtime::RunResult& m) {
-  store::BlobWriter e;
-  e.u64(m.job_id);
-  e.u8(m.kind == runtime::JobKind::Gate ? 0 : 1);
-  e.str(m.tag);
-  e.u64(status_code_to_wire(m.status.code()));
-  e.str(m.status.message());
-  e.u64(m.histogram.counts().size());
-  for (const auto& [key, count] : m.histogram.counts()) {
-    e.str(key);
-    e.u64(count);
-  }
-  e.u64(m.best_solution.size());
-  for (int bit : m.best_solution)
-    e.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(bit)));
-  e.f64(m.best_energy);
-  e.f64(m.stats.queue_wait_us);
-  e.f64(m.stats.run_us);
-  e.u64(m.stats.retries);
-  e.u64(m.stats.shards);
-  e.u64(m.stats.failovers);
-  e.u64(m.stats.shards_resumed);
-  e.u64(m.stats.shards_executed);
-  e.u8(m.stats.sampled ? 1 : 0);
+std::string JobJournal::encode_result(const runtime::RunResult& result) {
+  Encoder e;
+  runtime::encode_run_result(result, &e);
   return e.take();
 }
 
-bool JobJournal::decode_result(const std::string& payload,
+bool JobJournal::decode_result(std::string_view payload,
                                runtime::RunResult* out) {
-  store::BlobReader r(payload);
-  runtime::RunResult m;
-  std::uint8_t kind, sampled;
-  std::uint64_t code, entries, bits, retries, shards, failovers, resumed,
-      executed;
-  std::string message;
-  if (!r.u64(&m.job_id) || !r.u8(&kind) || !r.str(&m.tag) || !r.u64(&code) ||
-      !r.str(&message) || !r.u64(&entries))
-    return false;
-  m.kind = kind == 0 ? runtime::JobKind::Gate : runtime::JobKind::Anneal;
-  m.status = Status(status_code_from_wire(static_cast<std::uint16_t>(code)),
-                    std::move(message));
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    std::string key;
-    std::uint64_t count;
-    if (!r.str(&key) || !r.u64(&count)) return false;
-    m.histogram.add(key, static_cast<std::size_t>(count));
-  }
-  if (!r.u64(&bits)) return false;
-  m.best_solution.reserve(static_cast<std::size_t>(bits));
-  for (std::uint64_t i = 0; i < bits; ++i) {
-    std::uint64_t b;
-    if (!r.u64(&b)) return false;
-    m.best_solution.push_back(
-        static_cast<int>(static_cast<std::int64_t>(b)));
-  }
-  if (!r.f64(&m.best_energy) || !r.f64(&m.stats.queue_wait_us) ||
-      !r.f64(&m.stats.run_us) || !r.u64(&retries) || !r.u64(&shards) ||
-      !r.u64(&failovers) || !r.u64(&resumed) || !r.u64(&executed) ||
-      !r.u8(&sampled))
-    return false;
-  if (!r.done()) return false;
-  m.stats.retries = static_cast<std::size_t>(retries);
-  m.stats.shards = static_cast<std::size_t>(shards);
-  m.stats.failovers = static_cast<std::size_t>(failovers);
-  m.stats.shards_resumed = static_cast<std::size_t>(resumed);
-  m.stats.shards_executed = static_cast<std::size_t>(executed);
-  m.stats.sampled = sampled != 0;
-  *out = std::move(m);
-  return true;
+  Decoder d(payload);
+  return runtime::decode_run_result(&d, out);
 }
 
 // ------------------------------------------------------------- framing ----
@@ -206,16 +62,15 @@ bool JobJournal::decode_result(const std::string& payload,
 std::string JobJournal::frame_record(JournalRecordType type,
                                      std::uint64_t job_id,
                                      const std::string& body) {
-  store::BlobWriter payload;
+  Encoder payload;
   payload.u8(static_cast<std::uint8_t>(type));
   payload.u64(job_id);
   payload.str(body);
-  store::BlobWriter frame;
-  frame.u64(payload.payload().size());
-  frame.u64(fnv1a64(payload.payload()));
-  std::string out = frame.take();
-  out += payload.take();
-  return out;
+  Encoder frame;
+  frame.u64(payload.bytes().size());
+  frame.u64(fnv1a64(payload.bytes()));
+  frame.raw(payload.bytes());
+  return frame.take();
 }
 
 // ------------------------------------------------------------ lifecycle ----
@@ -240,35 +95,29 @@ JournalReplay JobJournal::replay() {
   std::filesystem::create_directories(options_.directory, ec);
   const std::string p = path();
 
-  std::string raw;
-  {
-    std::ifstream in(p, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      raw = buf.str();
-    }
-  }
+  const std::string raw = store::read_file(p).value_or(std::string());
 
   std::size_t pos = 0;
   // Index into out.inflight by job id while jobs are still in flight.
   std::unordered_map<std::uint64_t, std::size_t> live;
-  if (raw.size() >= sizeof(kJournalMagic) &&
-      std::memcmp(raw.data(), kJournalMagic, sizeof(kJournalMagic)) == 0) {
-    pos = sizeof(kJournalMagic);
-    while (raw.size() - pos >= kFrameHeaderBytes) {
-      const std::uint64_t len = read_u64le(raw.data() + pos);
-      const std::uint64_t checksum = read_u64le(raw.data() + pos + 8);
-      if (len > raw.size() - pos - kFrameHeaderBytes) break;  // torn tail
-      const std::string_view payload(raw.data() + pos + kFrameHeaderBytes,
-                                     static_cast<std::size_t>(len));
+  const std::string_view magic(kJournalMagic, sizeof(kJournalMagic));
+  Decoder file(raw);
+  std::string_view header;
+  if (file.raw(magic.size(), &header) && header == magic) {
+    pos = magic.size();
+    for (;;) {
+      std::uint64_t len, checksum;
+      std::string_view payload;
+      if (!file.u64(&len) || !file.u64(&checksum) ||
+          !file.raw(static_cast<std::size_t>(len), &payload))
+        break;  // torn tail
       if (fnv1a64(payload) != checksum) break;  // torn or bit-flipped
 
-      store::BlobReader r(payload);
+      Decoder r(payload);
       std::uint8_t type;
       std::uint64_t job_id;
       std::string body;
-      if (!r.u8(&type) || !r.u64(&job_id) || !r.str(&body) || !r.done())
+      if (!r.u8(&type) || !r.u64(&job_id) || !r.str(&body) || !r.finish())
         break;
 
       bool applied = true;
@@ -316,7 +165,7 @@ JournalReplay JobJournal::replay() {
 
       out.max_job_id = std::max(out.max_job_id, job_id);
       ++out.records;
-      pos += kFrameHeaderBytes + static_cast<std::size_t>(len);
+      pos = raw.size() - file.remaining();
     }
   } else if (!raw.empty()) {
     // Foreign or torn header: drop the whole file.
@@ -373,12 +222,8 @@ bool JobJournal::compact(const JournalReplay& state) {
     const auto& job = state.finished[i];
     content += frame_record(JournalRecordType::kAdmitted, job.job_id,
                             encode_request(job.request));
-    const JournalRecordType type =
-        job.result.status.ok() ? JournalRecordType::kCompleted
-        : job.result.status.code() == StatusCode::kCancelled
-            ? JournalRecordType::kCancelled
-            : JournalRecordType::kFailed;
-    content += frame_record(type, job.job_id, encode_result(job.result));
+    content += frame_record(terminal_type(job.result.status), job.job_id,
+                            encode_result(job.result));
   }
 
   const std::string p = path();
@@ -452,12 +297,8 @@ bool JobJournal::append_dispatched(std::uint64_t job_id) {
 
 bool JobJournal::append_terminal(std::uint64_t job_id,
                                  const runtime::RunResult& result) {
-  const JournalRecordType type =
-      result.status.ok() ? JournalRecordType::kCompleted
-      : result.status.code() == StatusCode::kCancelled
-          ? JournalRecordType::kCancelled
-          : JournalRecordType::kFailed;
-  return append_record(type, job_id, encode_result(result));
+  return append_record(terminal_type(result.status), job_id,
+                       encode_result(result));
 }
 
 }  // namespace qs::service

@@ -18,6 +18,9 @@
 // checkpoints limit re-execution to unfinished shards). Terminal records
 // carry the full RunResult so a restarted service can serve a stored
 // result for a duplicate idempotency_key without re-running anything.
+// Record bodies are the gateway wire's bytes (runtime/run_codec.h): an
+// admitted body is the checkpoint key followed by the wire RunRequest
+// body, a terminal body is exactly the wire RunResult body.
 //
 // Compaction (after replay, or when the live file grows past a bound)
 // rewrites the file to the admitted records of in-flight jobs plus the
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/run_api.h"
@@ -112,10 +116,10 @@ class JobJournal {
   // ---- Record codecs (exposed for tests) --------------------------------
 
   static std::string encode_request(const runtime::RunRequest& request);
-  static bool decode_request(const std::string& payload,
+  static bool decode_request(std::string_view payload,
                              runtime::RunRequest* out);
   static std::string encode_result(const runtime::RunResult& result);
-  static bool decode_result(const std::string& payload,
+  static bool decode_result(std::string_view payload,
                             runtime::RunResult* out);
 
  private:

@@ -14,6 +14,17 @@
 
 namespace qs::service {
 
+/// Queue / metrics key for a tenant: the anonymous tenant maps to
+/// "default" so single-tenant callers never see an empty label.
+inline std::string tenant_label(const std::string& tenant) {
+  return tenant.empty() ? "default" : tenant;
+}
+
+/// Per-tenant series name: `stem{tenant="<tenant>"}`.
+inline std::string tenant_metric(const char* stem, const std::string& tenant) {
+  return std::string(stem) + "{tenant=\"" + tenant + "\"}";
+}
+
 /// Monotonic event counter (lock-free).
 class Counter {
  public:

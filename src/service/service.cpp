@@ -139,16 +139,6 @@ Status validate_shard_histogram(const Histogram& shard, std::size_t shots,
   return Status::Ok();
 }
 
-/// Queue / metrics key for a request's tenant: the anonymous tenant maps
-/// to "default" so single-tenant callers never see an empty label.
-std::string tenant_of(const RunRequest& request) {
-  return request.tenant.empty() ? "default" : request.tenant;
-}
-
-std::string tenant_metric(const char* stem, const std::string& tenant) {
-  return std::string(stem) + "{tenant=\"" + tenant + "\"}";
-}
-
 /// Throws the validate() message before any member (worker pool, caches,
 /// queue) is built from a bad value.
 ServiceOptions validated(ServiceOptions options) {
@@ -379,7 +369,7 @@ std::shared_ptr<QuantumService::JobState> QuantumService::make_job(
     ++inflight_;
   }
   job->request = std::move(request);
-  job->tenant = tenant_of(job->request);
+  job->tenant = tenant_label(job->request.tenant);
   job->submitted = Clock::now();
   if (job->request.deadline)
     job->deadline_at = job->submitted + *job->request.deadline;
@@ -444,7 +434,7 @@ JobHandle QuantumService::try_submit(RunRequest request) {
 }
 
 JobHandle QuantumService::submit_impl(RunRequest request, bool blocking) {
-  const std::string tenant = tenant_of(request);
+  const std::string tenant = tenant_label(request.tenant);
   if (Status v = request.validate(); !v.ok())
     return rejected_handle(std::move(v), tenant);
   if (Status v = check_shard_plan(request, options_.shard_shots); !v.ok())
@@ -692,7 +682,7 @@ void QuantumService::recover_from_journal() {
     auto job = std::make_shared<JobState>();
     job->id = inflight.job_id;
     job->request = std::move(inflight.request);
-    job->tenant = tenant_of(job->request);
+    job->tenant = tenant_label(job->request.tenant);
     job->submitted = Clock::now();
     // The deadline budget re-arms from recovery time — the original
     // submission instant did not survive the crash, and failing a
@@ -899,6 +889,17 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
                    sim::to_string(reason) + "\"}")
           .inc();
     }
+  } else if (const auto annealer = backends_->primary(JobKind::Anneal);
+             annealer && req.qubo->size() > annealer->annealer->capacity()) {
+    // Mirrors the gate-width check: an oversized problem is the request's
+    // fault, so it must not reach a shard, where the solver's throw would
+    // count against (and quarantine) a healthy backend.
+    resolve_at_dispatch(
+        job, Status::InvalidArgument(
+                 "qubo has " + std::to_string(req.qubo->size()) +
+                 " variables, annealer capacity is " +
+                 std::to_string(annealer->annealer->capacity())));
+    return;
   }
 
   metrics_.counter("qs_jobs_dispatched_total").inc();

@@ -3,22 +3,22 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "common/codec.h"
 #include "common/hash.h"
-#include "store/blob.h"
 #include "store/durable.h"
 
 namespace qs::store {
 
 namespace {
 
-/// On-disk entry header. Everything before the payload is fixed-width so
-/// a truncated file is detectable from the length field alone; the
-/// checksum catches bit flips inside the payload.
-constexpr char kMagic[8] = {'Q', 'S', 'A', 'R', 'T', 'I', 'F', '1'};
-constexpr std::size_t kHeaderBytes = 8 + 1 + 8 + 8 + 8;
+/// On-disk entry: magic, kind u8, key id u64, payload length u64,
+/// checksum u64, then the payload (common/codec.h). Everything before the
+/// payload is fixed-width so a truncated file is detectable from the
+/// length field alone; the checksum catches bit flips inside the payload.
+/// "2" marks the shared codec: entries written before it are rejected at
+/// the magic and recomputed.
+constexpr std::string_view kMagic("QSARTIF2", 8);
 
 std::string hex16(std::uint64_t v) {
   char buf[20];
@@ -155,18 +155,12 @@ std::optional<std::string> ArtifactStore::read_disk(const ArtifactKey& key,
   KindStats& ks = stats_for(key.kind);
   const std::string path = path_for(key);
 
-  std::string raw;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++ks.disk.misses;
-      if (outcome) outcome->disk_missed = true;
-      return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    raw = buf.str();
+  std::optional<std::string> raw = read_file(path);
+  if (!raw) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++ks.disk.misses;
+    if (outcome) outcome->disk_missed = true;
+    return std::nullopt;
   }
 
   // Verified load: magic, kind, key id, payload length and checksum all
@@ -184,21 +178,20 @@ std::optional<std::string> ArtifactStore::read_disk(const ArtifactKey& key,
     return std::nullopt;
   };
 
-  if (raw.size() < kHeaderBytes ||
-      std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0)
-    return reject();
-  BlobReader header(std::string_view(raw).substr(8, kHeaderBytes - 8));
+  Decoder d(*raw);
+  std::string_view magic, payload;
   std::uint8_t kind;
   std::uint64_t id, payload_len, checksum;
-  if (!header.u8(&kind) || !header.u64(&id) || !header.u64(&payload_len) ||
-      !header.u64(&checksum))
+  if (!d.raw(kMagic.size(), &magic) || magic != kMagic || !d.u8(&kind) ||
+      !d.u64(&id) || !d.u64(&payload_len) || !d.u64(&checksum))
     return reject();
   if (kind != static_cast<std::uint8_t>(key.kind) || id != key.id())
     return reject();
-  if (raw.size() - kHeaderBytes != payload_len) return reject();  // torn
-  std::string payload = raw.substr(kHeaderBytes);
+  if (d.remaining() != payload_len) return reject();  // torn
+  d.raw(d.remaining(), &payload);
   if (fnv1a64(payload) != checksum) return reject();  // bit flip
-  return payload;
+  raw->erase(0, raw->size() - payload.size());
+  return raw;
 }
 
 bool ArtifactStore::should_attempt_write_locked() {
@@ -266,16 +259,14 @@ bool ArtifactStore::write_disk(const ArtifactKey& key,
   };
 
   {
-    BlobWriter header;
-    header.u8(static_cast<std::uint8_t>(key.kind));
-    header.u64(key.id());
-    header.u64(payload.size());
-    header.u64(fnv1a64(payload));
-    std::string bytes;
-    bytes.reserve(kHeaderBytes + payload.size());
-    bytes.append(kMagic, sizeof(kMagic));
-    bytes.append(header.payload());
-    bytes.append(payload.data(), payload.size());
+    Encoder entry;
+    entry.raw(kMagic);
+    entry.u8(static_cast<std::uint8_t>(key.kind));
+    entry.u64(key.id());
+    entry.u64(payload.size());
+    entry.u64(fnv1a64(payload));
+    entry.raw(payload);
+    const std::string& bytes = entry.bytes();
     // sync_writes makes the entry power-loss durable, not just
     // crash-atomic: fsync the tmp file before the rename publishes it,
     // then fsync the directory so the rename itself survives.

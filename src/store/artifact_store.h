@@ -145,7 +145,7 @@ struct StoreOptions {
 
 /// How a typed artifact crosses the memory/disk boundary. `encode` must be
 /// deterministic and `decode(encode(v))` value-exact — for doubles that
-/// means raw bit patterns (see blob.h), never decimal formatting. decode
+/// means raw bit patterns (Encoder::f64), never decimal formatting. decode
 /// returns null to reject a payload (counted corrupt; the entry is
 /// deleted and recomputed).
 template <typename T>

@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 namespace qs::store {
 
@@ -80,6 +82,14 @@ bool write_file(const std::string& path, const void* data, std::size_t size,
   if (ok && sync) ok = fsync_retry(fd);
   close_retry(fd);
   return ok;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
 bool AppendFile::open(const std::string& path, bool sync_dir) {

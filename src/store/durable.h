@@ -1,13 +1,15 @@
-// Crash-durable POSIX write primitives shared by the ArtifactStore disk
-// tier and the service job journal. tmp+rename alone is only *atomic*: a
-// power loss after rename can still surface an empty or stale file unless
-// the data hit the platter (fsync on the file) and the rename itself is
-// journalled (fsync on the parent directory). These helpers wrap the
-// open/write/fsync/close dance with no exceptions; every failure is a
-// bool so callers can count it and degrade instead of crashing.
+// Crash-durable POSIX write primitives (and the whole-file read) shared
+// by the ArtifactStore disk tier and the service job journal. tmp+rename
+// alone is only *atomic*: a power loss after rename can still surface an
+// empty or stale file unless the data hit the platter (fsync on the file)
+// and the rename itself is journalled (fsync on the parent directory).
+// These helpers wrap the open/write/fsync/close dance with no exceptions;
+// every failure is a bool or nullopt so callers can count it and degrade
+// instead of crashing.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace qs::store {
@@ -27,6 +29,9 @@ bool sync_parent_dir(const std::string& path);
 /// (partial writes are retried on EINTR/short-write first).
 bool write_file(const std::string& path, const void* data, std::size_t size,
                 bool sync);
+
+/// The whole file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path);
 
 /// RAII append handle for a write-ahead log: open(O_CREAT|O_APPEND) once,
 /// then append()/sync() per record. Reopening after close() is the

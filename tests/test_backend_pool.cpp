@@ -17,6 +17,7 @@
 #include "anneal/annealer.h"
 #include "anneal/qubo.h"
 #include "common/cancellation.h"
+#include "common/codec.h"
 #include "common/rng.h"
 #include "compiler/algorithms.h"
 #include "compiler/kernel.h"
@@ -459,6 +460,37 @@ TEST(BackendFailover, AnnealCorruptHistogramQuarantinesAndReroutes) {
             0u);
 }
 
+TEST(BackendFailover, OversizedQuboLeavesTheAnnealBreakerClosed) {
+  // One tenant's too-large problem is its own fault: it is refused at
+  // dispatch and never reaches a shard, so it cannot open the breaker
+  // that every tenant's anneal jobs route through.
+  BackendPoolOptions pool_opts;
+  pool_opts.breaker.open_cooldown = 10s;
+  auto pool = std::make_shared<BackendPool>(pool_opts);
+  ASSERT_TRUE(pool->register_gate("gate", make_gate(2)).ok());
+  ASSERT_TRUE(pool->register_anneal(
+                      "a", std::make_shared<runtime::AnnealAccelerator>(
+                               /*capacity=*/4))
+                  .ok());
+  service::ServiceOptions opts;
+  opts.workers = 4;
+  opts.shard_shots = 1;
+  service::QuantumService svc(pool, opts);
+
+  const RunResult oversized =
+      svc.submit(RunRequest::anneal(anneal::Qubo(5), 8)).get();
+  EXPECT_EQ(oversized.status.code(), StatusCode::kInvalidArgument)
+      << oversized.status.to_string();
+
+  anneal::Qubo fits(4);
+  fits.add(0, 1, -1.0);
+  fits.add(2, 3, 0.5);
+  const RunResult valid = svc.submit(RunRequest::anneal(fits, 8)).get();
+  EXPECT_TRUE(valid.ok()) << valid.status.to_string();
+  EXPECT_EQ(svc.backends().breaker_state("a"), BreakerState::Closed);
+  EXPECT_EQ(svc.metrics().gauge("qs_backend_breaker_state_a").value(), 0);
+}
+
 TEST(BackendFailover, AnnealWatchdogRescuesStuckShards) {
   service::ServiceOptions opts = anneal_shard_options();
   opts.shard_shots = 2;
@@ -517,32 +549,52 @@ TEST(Checkpoint, DeserializeRefusesTornOrMalformedSnapshots) {
   cp.fingerprint = 1;
   cp.shards = 2;
   cp.shard_done = {1, 0};
-  const std::string text = cp.serialize();
+  cp.merged.add("01", 3);
+  const std::string bytes = cp.serialize();
+  const auto code = [](std::string_view b) {
+    return service::JobCheckpoint::deserialize(b).status().code();
+  };
 
-  // Torn write: drop the trailing "end" marker.
-  const std::string torn = text.substr(0, text.rfind("end"));
-  EXPECT_EQ(service::JobCheckpoint::deserialize(torn).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(service::JobCheckpoint::deserialize("").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(service::JobCheckpoint::deserialize("qs-checkpoint v1\nbogus 1\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Torn write: every strict prefix is refused (exact consumption is the
+  // completeness proof), and so is trailing garbage.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
+    EXPECT_EQ(code(bytes.substr(0, cut)), StatusCode::kInvalidArgument)
+        << "prefix " << cut;
+  EXPECT_EQ(code(bytes + "x"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(""), StatusCode::kInvalidArgument);
+  // The old line-text format is not a checkpoint.
+  EXPECT_EQ(code("qs-checkpoint v1\nbogus 1\n"), StatusCode::kInvalidArgument);
+
+  const auto snapshot = [](std::uint32_t shards, std::uint32_t done_index,
+                           std::uint8_t best_flag, const std::string& bits,
+                           std::uint64_t count) {
+    Encoder e;
+    e.u64(1);           // fingerprint
+    e.u32(shards);
+    e.u32(1);           // one done index
+    e.u32(done_index);
+    e.u8(best_flag);
+    if (best_flag == 1) {
+      e.f64(-1.0);
+      e.u64(0);
+      e.str(bits);
+    }
+    e.u32(1);           // one histogram entry
+    e.str("01");
+    e.u64(count);
+    return e.take();
+  };
+  EXPECT_EQ(code(snapshot(2, 1, 1, "01", 3)), StatusCode::kOk);
   // done index out of range.
-  EXPECT_EQ(service::JobCheckpoint::deserialize(
-                "qs-checkpoint v1\nfingerprint 1\nshards 2\ndone 5\nend\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(snapshot(2, 5, 0, "", 3)), StatusCode::kInvalidArgument);
   // A shard count beyond service::kMaxShards is refused before anything is
   // sized from it.
-  EXPECT_EQ(service::JobCheckpoint::deserialize(
-                "qs-checkpoint v1\nfingerprint 1\nshards 99999999999999999\n"
-                "end\n")
-                .status()
-                .code(),
+  EXPECT_EQ(code(snapshot(0xffffffffu, 0, 0, "", 3)),
             StatusCode::kInvalidArgument);
+  // Non-binary best bits, a bad best flag, a zero histogram count.
+  EXPECT_EQ(code(snapshot(2, 1, 1, "0x", 3)), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(snapshot(2, 1, 2, "", 3)), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(snapshot(2, 1, 0, "", 0)), StatusCode::kInvalidArgument);
 }
 
 TEST(Checkpoint, FileStoreRoundTripsAndRefusesTornFiles) {

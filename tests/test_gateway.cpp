@@ -619,6 +619,43 @@ TEST(GatewayEndToEnd, HugeShotCountIsTypedInvalidArgument) {
   EXPECT_EQ(result->histogram.total(), 32u);
 }
 
+TEST(GatewayEndToEnd, EmptyQuboSubmitIsTypedInvalidArgument) {
+  // A QUBO body claiming zero variables must be refused by the decoder:
+  // the Qubo constructor throws on it, and a throw inside a connection
+  // thread would terminate the whole server.
+  LiveGateway gw;
+  Socket sock;
+  ASSERT_TRUE(connect_tcp("127.0.0.1", gw.server.port(), &sock).ok());
+  Encoder hello;
+  encode_hello(HelloRequest{}, &hello);
+  ASSERT_TRUE(write_frame(sock, Op::kHello, hello.bytes()).ok());
+  Frame f;
+  ASSERT_TRUE(read_frame(sock, &f).ok());
+  ASSERT_EQ(f.op, Op::kHelloOk);
+
+  Encoder submit;
+  submit.str("");  // tenant
+  submit.u64(0);   // session
+  submit.u8(1);    // QUBO payload
+  submit.u32(0);   // zero variables
+  submit.u32(0);   // zero terms
+  ASSERT_TRUE(write_frame(sock, Op::kSubmit, submit.bytes()).ok());
+  ASSERT_TRUE(read_frame(sock, &f).ok());
+  ASSERT_EQ(f.op, Op::kError);
+  WireError err;
+  Decoder d(f.payload);
+  ASSERT_TRUE(decode_error(&d, &err));
+  EXPECT_EQ(err.status.code(), StatusCode::kInvalidArgument);
+
+  // The server keeps serving.
+  GatewayClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", gw.server.port()).ok());
+  const auto result =
+      client.run(runtime::RunRequest::gate_source(ghz_source(2), 16));
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result->status.ok()) << result->status.to_string();
+}
+
 TEST(GatewayEndToEnd, QueueFullShedsWithDepthNotSilently) {
   service::ServiceOptions sopts;
   sopts.workers = 1;

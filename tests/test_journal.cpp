@@ -198,6 +198,28 @@ TEST(JournalFile, TornTailIsTruncatedAndPrefixSurvives) {
   }
 }
 
+TEST(JournalFile, PreCodecJournalIsDroppedAsForeign) {
+  // A journal from before the shared codec (magic "QSJRNL1") is never
+  // offered to a record decoder: the header mismatch drops the file and
+  // replay starts a fresh v2 journal.
+  TempDir dir("qs_journal_test_v1");
+  std::filesystem::create_directories(dir.path);
+  const std::string v1 = std::string("QSJRNL1\n") + std::string(40, '\x01');
+  {
+    std::ofstream f(dir.path / "journal.qsj", std::ios::binary);
+    f << v1;
+  }
+  JobJournal j({dir.str(), true, 256});
+  const JournalReplay r = j.replay();
+  EXPECT_EQ(r.records, 0u);
+  EXPECT_EQ(r.truncated_bytes, v1.size());
+  ASSERT_TRUE(j.append_admitted(1, RunRequest::gate(ghz_program(2), 16, 1)));
+  std::ifstream in(j.path(), std::ios::binary);
+  std::string magic(8, '\0');
+  in.read(magic.data(), 8);
+  EXPECT_EQ(magic, std::string("QSJRNL2\n"));
+}
+
 TEST(JournalFile, CompactionKeepsInflightAndNewestFinished) {
   TempDir dir("qs_journal_test_compact");
   std::filesystem::create_directories(dir.path);
@@ -334,6 +356,49 @@ TEST(ServiceRecovery, RestartedServiceContinuesJobIdSequence) {
 }
 
 // --------------------------------------------------- idempotency key ----
+
+TEST(ServiceRecovery, JournalServedDuplicateKeepsEveryStat) {
+  // The terminal record is the wire's result body, so a duplicate served
+  // from the journal after a restart reports the stats of the run that
+  // produced it — precision tier, fusion and cache tiers included.
+  TempDir dir("qs_journal_test_stats");
+  const qasm::Program program = ghz_program(3);
+  const auto f32_request = [&](std::uint64_t seed, const char* key) {
+    RunRequest req = RunRequest::gate(program, 32, seed);
+    req.precision = Precision::kF32;
+    req.idempotency_key = key;
+    return req;
+  };
+  RunResult original;
+  {
+    QuantumService svc(perfect_gate(3), base_options(dir.str()));
+    // Warm the compile and final-state caches so the keyed run's store
+    // tiers are not the default kNone.
+    ASSERT_TRUE(svc.submit(f32_request(1, "")).get().ok());
+    original = svc.submit(f32_request(2, "stats-key")).get();
+    ASSERT_TRUE(original.ok()) << original.status.to_string();
+  }
+  ASSERT_EQ(original.stats.precision, Precision::kF32);
+  ASSERT_GT(original.stats.fused_gates, 0u);
+  ASSERT_NE(original.stats.compile_cache_tier, runtime::CacheTier::kNone);
+
+  QuantumService successor(perfect_gate(3), base_options(dir.str()));
+  const RunResult served = successor.submit(f32_request(2, "stats-key")).get();
+  ASSERT_TRUE(served.stats.idempotent_hit);
+  EXPECT_EQ(served.histogram.counts(), original.histogram.counts());
+  EXPECT_EQ(served.stats.precision, Precision::kF32);
+  EXPECT_EQ(served.stats.fused_gates, original.stats.fused_gates);
+  EXPECT_EQ(served.stats.fused_ops, original.stats.fused_ops);
+  EXPECT_EQ(served.stats.fused_max_run, original.stats.fused_max_run);
+  EXPECT_EQ(served.stats.compile_cache_hit, original.stats.compile_cache_hit);
+  EXPECT_EQ(served.stats.compile_cache_tier,
+            original.stats.compile_cache_tier);
+  EXPECT_EQ(served.stats.final_state_cache_hit,
+            original.stats.final_state_cache_hit);
+  EXPECT_EQ(served.stats.final_state_cache_tier,
+            original.stats.final_state_cache_tier);
+  EXPECT_EQ(served.stats.dispatch_seq, original.stats.dispatch_seq);
+}
 
 TEST(Idempotency, DuplicateKeyAttachesServesAndRejectsMismatch) {
   QuantumService svc(perfect_gate(4), base_options(""));

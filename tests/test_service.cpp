@@ -488,13 +488,48 @@ TEST(QuantumService, SubmitAfterShutdownResolvesUnavailable) {
 TEST(QuantumService, FailedJobCarriesInternalStatus) {
   ServiceOptions opts;
   opts.workers = 1;
-  // Annealer capacity 2 < QUBO size 4: solve throws inside the shard; the
-  // exception is mapped to a Status at the service boundary.
+  // A 3-variable clique cannot be minor-embedded into a 3-qubit path: the
+  // problem fits the capacity, so it passes dispatch, and solve throws
+  // inside the shard; the exception is mapped to a Status at the service
+  // boundary.
+  anneal::HardwareGraph path;
+  path.adjacency = {{1}, {0, 2}, {1}};
+  QuantumService svc(perfect_gate(2), runtime::AnnealAccelerator(path), opts);
+  anneal::Qubo clique(3);
+  clique.add(0, 1, 1.0);
+  clique.add(1, 2, 1.0);
+  clique.add(0, 2, 1.0);
+  const RunResult r = svc.submit(RunRequest::anneal(clique, 8)).get();
+  EXPECT_EQ(r.status.code(), StatusCode::kInternal);
+  EXPECT_NE(r.status.message().find("embedding"), std::string::npos)
+      << r.status.message();
+  EXPECT_EQ(svc.metrics().counter("qs_jobs_failed_total").value(), 1u);
+}
+
+TEST(QuantumService, DeadlineBeyondKMaxDeadlineIsInvalidArgument) {
+  // submit time + duration::max() would overflow the clock (and wrap into
+  // the past, expiring the job before it runs), so it is refused.
+  QuantumService svc(perfect_gate(2));
+  RunRequest req = RunRequest::gate(ghz_program(2), 16);
+  req.deadline = std::chrono::steady_clock::duration::max();
+  EXPECT_EQ(svc.submit(req).get().status.code(),
+            StatusCode::kInvalidArgument);
+  req.deadline = runtime::kMaxDeadline;
+  const RunResult r = svc.submit(req).get();
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+}
+
+TEST(QuantumService, OversizedQuboIsInvalidArgumentAtDispatch) {
+  ServiceOptions opts;
+  opts.workers = 1;
+  // Annealer capacity 2 < QUBO size 4: the request's fault, refused before
+  // any shard runs (the gate-width check's anneal twin).
   QuantumService svc(perfect_gate(2), runtime::AnnealAccelerator(2), opts);
   const RunResult r = svc.submit(RunRequest::anneal(anneal::Qubo(4), 8)).get();
-  EXPECT_EQ(r.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status.message().find("capacity"), std::string::npos)
       << r.status.message();
+  EXPECT_EQ(r.stats.shards_executed, 0u);
   EXPECT_EQ(svc.metrics().counter("qs_jobs_failed_total").value(), 1u);
 }
 
