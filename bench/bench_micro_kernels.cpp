@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "anneal/annealer.h"
+#include "apps/tsp/qubo_encode.h"
+#include "apps/tsp/tsp.h"
 #include "compiler/compiler.h"
 #include "qasm/parser.h"
 #include "qasm/printer.h"
@@ -196,6 +198,20 @@ void BM_Annealer_Sweep(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Annealer_Sweep)->Arg(64)->Arg(512)->Arg(2048);
+
+// One read of the annealing accelerator on the paper's Fig. 9 problem: the
+// 16-variable Netherlands-4 TSP QUBO, default SQA schedule (500 sweeps x 16
+// Trotter slices x 16 spins = 128k Metropolis proposals).
+void BM_QuantumAnnealer_TspRead(benchmark::State& state) {
+  const apps::tsp::TspQubo tsp(apps::tsp::TspInstance::netherlands4());
+  const anneal::IsingModel model = tsp.qubo().to_ising();
+  const anneal::SimulatedQuantumAnnealer annealer;
+  Rng rng(3);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(annealer.solve(model, rng).best_energy);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QuantumAnnealer_TspRead)->Unit(benchmark::kMillisecond);
 
 void BM_Parser_Roundtrip(benchmark::State& state) {
   compiler::Program p("bench", 8);

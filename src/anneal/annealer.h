@@ -42,8 +42,8 @@ using SpinClusters = std::vector<std::vector<std::size_t>>;
 /// sweep budget to completion. The default token never stops.
 class SimulatedAnnealer {
  public:
-  explicit SimulatedAnnealer(AnnealSchedule schedule = {})
-      : schedule_(schedule) {}
+  /// Throws std::invalid_argument when schedule.restarts is 0.
+  explicit SimulatedAnnealer(AnnealSchedule schedule = {});
 
   AnnealResult solve(const IsingModel& model, Rng& rng,
                      const SpinClusters& clusters = {},
@@ -72,8 +72,8 @@ struct QuantumAnnealSchedule {
 /// transverse field Gamma anneals from gamma_start to gamma_end.
 class SimulatedQuantumAnnealer {
  public:
-  explicit SimulatedQuantumAnnealer(QuantumAnnealSchedule schedule = {})
-      : schedule_(schedule) {}
+  /// Throws std::invalid_argument when schedule.restarts is 0.
+  explicit SimulatedQuantumAnnealer(QuantumAnnealSchedule schedule = {});
 
   AnnealResult solve(const IsingModel& model, Rng& rng,
                      const SpinClusters& clusters = {},

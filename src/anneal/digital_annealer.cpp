@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "anneal/metropolis.h"
+
 namespace qs::anneal {
 
 std::pair<std::vector<int>, double> DigitalAnnealer::solve(const Qubo& qubo,
@@ -62,7 +64,7 @@ std::pair<std::vector<int>, double> DigitalAnnealer::solve(const Qubo& qubo,
         deltas[i] = delta;
         const double effective = delta - offset;
         if (effective <= 0.0 ||
-            rng.uniform() < std::exp(-beta * effective)) {
+            below_exp(rng.uniform(), -beta * effective)) {
           accepted.push_back(i);
         }
       }

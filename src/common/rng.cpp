@@ -15,33 +15,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   // splitmix64 expansion guarantees a non-zero state for any seed.
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -76,8 +55,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-bool Rng::bernoulli(double p) { return uniform() < p; }
-
 std::uint64_t derive_stream_seed(std::uint64_t base_seed,
                                  std::uint64_t stream_index) {
   // Two rounds of splitmix64 over (base ^ phi*index): consecutive indices
@@ -86,7 +63,18 @@ std::uint64_t derive_stream_seed(std::uint64_t base_seed,
   std::uint64_t x = base_seed ^ (0x9E3779B97F4A7C15ULL * (stream_index + 1));
   std::uint64_t a = splitmix64(x);
   std::uint64_t b = splitmix64(x);
-  return a ^ rotl(b, 32);
+  return a ^ std::rotl(b, 32);
+}
+
+UniformInt::UniformInt(std::uint64_t n)
+    : n_(n),
+      threshold_(n ? (0ULL - n) % n : 0),
+      reciprocal_(n ? ~0ULL / n : 0) {
+  if (n == 0) throw std::invalid_argument("UniformInt: n must be >= 1");
+}
+
+Shuffler::Shuffler(std::size_t n) {
+  for (std::size_t i = 2; i <= n; ++i) draws_.emplace_back(i);
 }
 
 std::size_t Rng::discrete(const std::vector<double>& weights) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <set>
@@ -123,6 +124,66 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// The division-free bounded draw must be Rng::uniform_int exactly: same
+// values and same number of draws, including rejected ones.
+TEST(UniformInt, MatchesRngUniformIntDrawForDraw) {
+  for (std::uint64_t n = 1; n <= 64; ++n) {
+    const UniformInt draw(n);
+    Rng a(n), b(n);
+    for (int t = 0; t < 2000; ++t) ASSERT_EQ(draw(a), b.uniform_int(n)) << n;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << n;
+  }
+}
+
+TEST(UniformInt, ThresholdAndRemainderOnAdversarialDraws) {
+  constexpr std::uint64_t kMax = ~0ULL;
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t n = 1; n <= 64; ++n) bounds.push_back(n);
+  bounds.insert(bounds.end(),
+                {1000003, (1ULL << 32) - 1, (1ULL << 32) + 1, (1ULL << 63) - 1,
+                 1ULL << 63, (1ULL << 63) + 1, kMax - 1, kMax});
+  for (std::uint64_t n : bounds) {
+    const UniformInt draw(n);
+    const std::uint64_t threshold = (0ULL - n) % n;
+    std::vector<std::uint64_t> rs = {0, 1, threshold, threshold + 1,
+                                     kMax, kMax - 1};
+    if (threshold > 0) rs.push_back(threshold - 1);
+    // Multiples of n and their neighbours, at the bottom and the top of
+    // the 64-bit range (where the quotient estimate is most strained).
+    const std::uint64_t top = kMax / n;
+    for (std::uint64_t q : {std::uint64_t{1}, std::uint64_t{2}, top / 2,
+                            top - 1, top}) {
+      if (q == 0) continue;
+      const std::uint64_t m = q * n;
+      rs.insert(rs.end(), {m - 1, m, m + 1});
+    }
+    for (std::uint64_t r : rs) {
+      EXPECT_EQ(draw.accepts(r), r >= threshold) << n << " " << r;
+      EXPECT_EQ(draw.reduce(r), r % n) << n << " " << r;
+    }
+  }
+  EXPECT_THROW(UniformInt(0), std::invalid_argument);
+}
+
+TEST(Shuffler, MatchesRngShuffle) {
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const Shuffler shuffle(n);
+    Rng a(100 + n), b(100 + n);
+    std::vector<std::size_t> u(n), v(n);
+    std::iota(u.begin(), u.end(), 0);
+    std::iota(v.begin(), v.end(), 0);
+    for (int t = 0; t < 50; ++t) {
+      shuffle(u, a);
+      b.shuffle(v);
+      ASSERT_EQ(u, v) << n;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << n;
+  }
+  std::vector<int> too_long(5);
+  Rng rng(1);
+  EXPECT_THROW(Shuffler(4)(too_long, rng), std::length_error);
 }
 
 // ------------------------------------------------------------- Matrix ----
