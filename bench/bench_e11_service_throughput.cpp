@@ -299,8 +299,9 @@ int main() {
   // real per-shot work) through three disk-backed configs: store only
   // (journal off — the PR-7 baseline), journalled with page-cache writes,
   // and journalled with per-record fsync (group commit). A journalled job
-  // pays one durable append before its handle returns plus per-shard
-  // checkpoints; overhead is measured against the store-only baseline.
+  // pays one durable append before its handle returns plus a checkpoint
+  // whenever its unsaved shard time outweighs a save twentyfold; overhead
+  // is measured against the store-only baseline.
   // Target: < 10% throughput cost with fsync on when the accelerator —
   // not the WAL — dominates.
   std::printf("\njournal overhead (ghz14, 16 jobs x 512 shots, "

@@ -8,6 +8,12 @@
 
 namespace qs::anneal {
 
+DigitalAnnealer::DigitalAnnealer(DigitalAnnealerParams params)
+    : params_(params) {
+  if (params_.restarts == 0)
+    throw std::invalid_argument("DigitalAnnealer: restarts must be >= 1");
+}
+
 std::pair<std::vector<int>, double> DigitalAnnealer::solve(const Qubo& qubo,
                                                            Rng& rng) const {
   const std::size_t n = qubo.size();

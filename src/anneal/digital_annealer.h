@@ -26,8 +26,8 @@ class DigitalAnnealer {
   /// The marketed capacity: 8192 fully-connected nodes.
   static constexpr std::size_t kCapacity = 8192;
 
-  explicit DigitalAnnealer(DigitalAnnealerParams params = {})
-      : params_(params) {}
+  /// Throws std::invalid_argument when params.restarts is 0.
+  explicit DigitalAnnealer(DigitalAnnealerParams params = {});
 
   /// True if a problem of `n` variables fits (full connectivity: no
   /// embedding, the answer only depends on n).

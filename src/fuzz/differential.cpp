@@ -611,9 +611,9 @@ Histogram DifferentialHarness::run_config(const ExecConfig& config,
         if (config.retry_fault || config.crash_fault) request.faults = plan;
 
         if (config.resume) {
-          // Kill the job on its last shard (terminal failure after every
-          // other shard merged and checkpointed), then resubmit on the
-          // same key: the resumed run must reproduce the clean histogram.
+          // Kill the job on its last shard (a terminal failure, which
+          // saves every other merged shard), then resubmit on the same
+          // key: the resumed run must reproduce the clean histogram.
           const std::size_t shards =
               (shots + options_.shard_shots - 1) / options_.shard_shots;
           const std::string key =

@@ -167,9 +167,10 @@ struct RunRequest {
   /// Crash-safe checkpoint/resume key. When non-empty and the service has a
   /// StoreCheckpointStore configured (explicitly, or auto-wired by a
   /// store_dir), merged partial histograms plus the shard cursor are
-  /// snapshotted after every completed shard, and a resubmitted job with
-  /// the same key (and an unchanged payload/seed/shot plan) re-runs only
-  /// the unfinished shards.
+  /// snapshotted once the unsaved shard work outweighs a save many times
+  /// over, and when the job fails; a resubmitted job with the same key
+  /// (and an unchanged payload/seed/shot plan) re-runs only the shards
+  /// the snapshot lacks.
   std::string checkpoint_key;
 
   /// Client-supplied exactly-once key. When non-empty, resubmitting the

@@ -1,8 +1,9 @@
-// Crash-safe checkpoint/resume for long jobs. After every completed shard
-// the service snapshots the job's merged partial histogram plus the shard
-// cursor (which shard indices are done); a worker crash, a failed job or a
-// full service restart can then resume from the snapshot and re-run only
-// the unfinished shards. Because shard seeds are a pure function of
+// Crash-safe checkpoint/resume for long jobs. Once a job's unsaved shard
+// work outweighs a save many times over, and once more when it fails, the
+// service snapshots the job's merged partial histogram plus the shard
+// cursor (which shard indices are done); a failed job or a full service
+// restart can then resume from the snapshot and re-run only the unsaved
+// shards. Because shard seeds are a pure function of
 // (job seed, shard index) and histogram merging is commutative, a resumed
 // job's final histogram is byte-identical to an uninterrupted run.
 //

@@ -27,6 +27,19 @@ double us_of(Clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
+/// Checkpoint cost rule: a job saves a snapshot only once the shard time it
+/// would lose to a crash is kCheckpointPayback times one save's cost, so
+/// bookkeeping never costs more than 1/kCheckpointPayback of the work it
+/// protects. One save's cost starts at kCheckpointSavePrior and follows the
+/// measured saves.
+constexpr std::int64_t kCheckpointPayback = 20;
+constexpr std::chrono::nanoseconds kCheckpointSavePrior{500'000};
+
+/// The checkpoint key a journaled job gets when its client supplied none.
+std::string journal_checkpoint_key(std::uint64_t job_id) {
+  return "qsj-" + std::to_string(job_id);
+}
+
 std::string solution_bits(const std::vector<int>& solution) {
   std::string bits(solution.size(), '0');
   for (std::size_t i = 0; i < solution.size(); ++i)
@@ -89,6 +102,15 @@ std::uint64_t request_fingerprint(const RunRequest& req,
                                   std::size_t shard_shots) {
   if (req.program_text)
     return plan_fingerprint(req, *req.program_text, shard_shots);
+  return plan_fingerprint(
+      req, req.program ? qasm::to_cqasm(*req.program) : std::string(),
+      shard_shots);
+}
+
+/// The fingerprint a job's checkpoint carries (dispatch-time requests are
+/// parsed, so a gate payload prints from its program).
+std::uint64_t checkpoint_fingerprint(const RunRequest& req,
+                                     std::size_t shard_shots) {
   return plan_fingerprint(
       req, req.program ? qasm::to_cqasm(*req.program) : std::string(),
       shard_shots);
@@ -284,7 +306,13 @@ struct QuantumService::JobState {
   /// Set (under merge_mutex) when finish_shard moves the merged result
   /// out; progress() reports nothing from then on.
   bool assembled = false;
-  std::uint64_t checkpoint_fp = 0;     ///< 0 = checkpointing off
+  std::uint64_t checkpoint_fp = 0;     ///< 0 = not computed yet
+  /// The key is the journal's qsj-<id>, not the client's: once the job's
+  /// terminal record is written, nothing can read its snapshot again.
+  bool journal_key = false;
+  bool snapshot_stored = false;        ///< saved or found; merge_mutex
+  std::size_t unsaved_shards = 0;      ///< merged since the last save
+  std::chrono::nanoseconds unsaved_work{0};  ///< their time; merge_mutex
   std::size_t shards_resumed = 0;      ///< restored at dispatch
   std::atomic<std::size_t> failovers{0};
   std::atomic<std::size_t> shards_executed{0};
@@ -313,7 +341,8 @@ QuantumService::QuantumService(std::shared_ptr<BackendPool> backends,
       final_cache_(store_),
       queue_(options_.queue_capacity, options_.default_tenant_weight),
       pool_(options_.workers),
-      paused_(options_.start_paused) {
+      paused_(options_.start_paused),
+      checkpoint_save_cost_(kCheckpointSavePrior) {
   for (const auto& [tenant, weight] : options_.tenant_weights)
     queue_.set_weight(tenant, weight);
   // A persistent store doubles as the checkpoint substrate: with a disk
@@ -510,11 +539,13 @@ JobHandle QuantumService::submit_impl(RunRequest request, bool blocking) {
   handle.future_ = job->future;
 
   if (journal_) {
-    // Journaled jobs always checkpoint: recovery resumes from completed
-    // shards instead of re-running them, and the key is derived from the
-    // job id so a recovered job finds its own snapshot.
-    if (job->request.checkpoint_key.empty() && options_.checkpoint_store)
-      job->request.checkpoint_key = "qsj-" + std::to_string(job->id);
+    // Journaled jobs checkpoint when it pays (run_shard), so recovery
+    // resumes a long job from its saved shards. The key is derived from
+    // the job id so a recovered job finds its own snapshot.
+    if (job->request.checkpoint_key.empty() && options_.checkpoint_store) {
+      job->request.checkpoint_key = journal_checkpoint_key(job->id);
+      job->journal_key = true;
+    }
     // WAL contract: the admitted record is durable before the caller gets
     // a handle back.
     job->journaled = journal_->append_admitted(job->id, job->request);
@@ -675,8 +706,8 @@ void QuantumService::recover_from_journal() {
     idempotency_[fin.request.idempotency_key] = std::move(entry);
   }
 
-  // In-flight jobs: re-enqueue under their original ids. Their (auto-
-  // assigned) checkpoint keys limit re-execution to unfinished shards.
+  // In-flight jobs: re-enqueue under their original ids. A job that saved
+  // a snapshot before the crash re-runs only its unsaved shards.
   std::size_t recovered = 0;
   for (JournalReplay::InflightJob& inflight : replay.inflight) {
     auto job = std::make_shared<JobState>();
@@ -692,6 +723,8 @@ void QuantumService::recover_from_journal() {
     job->future = job->promise.get_future().share();
     job->journaled = true;
     job->recovered = true;
+    job->journal_key =
+        job->request.checkpoint_key == journal_checkpoint_key(job->id);
     job->idemp_key = job->request.idempotency_key;
     {
       std::lock_guard<std::mutex> lock(control_mutex_);
@@ -926,15 +959,17 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
   // Checkpoint resume: restore the merged partials of a previous
   // submission with the same key, provided the fingerprint proves the
   // payload/seed/shot/shard plan is unchanged. Anything else starts fresh.
-  if (!req.checkpoint_key.empty() && options_.checkpoint_store) {
-    job->checkpoint_fp = plan_fingerprint(
-        req, req.program ? qasm::to_cqasm(*req.program) : std::string(),
-        options_.shard_shots);
+  // A fresh job's qsj-<id> key is new to the store, so only a recovered
+  // job looks one up.
+  if (!req.checkpoint_key.empty() && options_.checkpoint_store &&
+      (!job->journal_key || job->recovered)) {
+    job->checkpoint_fp = checkpoint_fingerprint(req, options_.shard_shots);
     std::optional<JobCheckpoint> cp =
         options_.checkpoint_store->load(req.checkpoint_key);
+    std::lock_guard<std::mutex> lock(job->merge_mutex);
+    job->snapshot_stored = cp.has_value();
     if (cp && cp->fingerprint == job->checkpoint_fp &&
         cp->shards == job->shards && cp->shard_done.size() == job->shards) {
-      std::lock_guard<std::mutex> lock(job->merge_mutex);
       job->merged = std::move(cp->merged);
       job->shard_done = std::move(cp->shard_done);
       job->best = {cp->has_best, cp->best_energy, cp->best_read,
@@ -1076,7 +1111,12 @@ CancelToken QuantumService::attempt_token(const JobState& job) const {
 }
 
 void QuantumService::save_checkpoint_locked(JobState& job) {
-  if (job.checkpoint_fp == 0 || !options_.checkpoint_store) return;
+  if (job.request.checkpoint_key.empty() || !options_.checkpoint_store)
+    return;
+  // Only a job that skipped the dispatch-time load lacks it.
+  if (job.checkpoint_fp == 0)
+    job.checkpoint_fp = checkpoint_fingerprint(job.request,
+                                               options_.shard_shots);
   JobCheckpoint cp;
   cp.fingerprint = job.checkpoint_fp;
   cp.shards = job.shards;
@@ -1086,10 +1126,26 @@ void QuantumService::save_checkpoint_locked(JobState& job) {
   cp.best_energy = job.best.energy;
   cp.best_read = job.best.read;
   cp.best_solution = job.best.solution;
-  if (options_.checkpoint_store->save(job.request.checkpoint_key, cp).ok())
-    metrics_.counter("qs_checkpoint_saves_total").inc();
-  else
+  const Clock::time_point start = Clock::now();
+  const bool saved =
+      options_.checkpoint_store->save(job.request.checkpoint_key, cp).ok();
+  // Running estimate of one save (weight 1/8 per measurement). Concurrent
+  // jobs may overwrite each other's update; any recent save is a fair
+  // sample.
+  const auto took = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      Clock::now() - start);
+  const std::chrono::nanoseconds cost =
+      checkpoint_save_cost_.load(std::memory_order_relaxed);
+  checkpoint_save_cost_.store(cost + (took - cost) / 8,
+                              std::memory_order_relaxed);
+  if (!saved) {
     metrics_.counter("qs_checkpoint_save_failures_total").inc();
+    return;
+  }
+  metrics_.counter("qs_checkpoint_saves_total").inc();
+  job.snapshot_stored = true;
+  job.unsaved_shards = 0;
+  job.unsaved_work = std::chrono::nanoseconds{0};
 }
 
 void QuantumService::ensure_final_distribution(
@@ -1269,6 +1325,7 @@ void QuantumService::run_shard(const std::shared_ptr<JobState>& job,
     // per-shard time budget; expiry cancels the kernel at the next shot
     // boundary and the shard re-routes instead of hanging the worker.
     const CancelToken token = attempt_token(*job);
+    const Clock::time_point attempt_start = Clock::now();
 
     try {
       if (req.faults && req.faults->shard_latency.count() > 0)
@@ -1327,10 +1384,20 @@ void QuantumService::run_shard(const std::shared_ptr<JobState>& job,
         if (shard_index < job->shard_done.size())
           job->shard_done[shard_index] = 1;
         job->progress_seq.fetch_add(1, std::memory_order_relaxed);
-        save_checkpoint_locked(*job);
+        // Save only when the work a crash would lose pays for the save.
+        // A job of short shards never saves here.
+        ++job->unsaved_shards;
+        job->unsaved_work +=
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - attempt_start);
+        if (job->unsaved_work >=
+            kCheckpointPayback *
+                checkpoint_save_cost_.load(std::memory_order_relaxed))
+          save_checkpoint_locked(*job);
       }
-      // Simulated mid-run death: this shard's checkpoint is on disk, the
-      // terminal record never will be — recovery resumes from here.
+      // Simulated mid-run death: the terminal record never reaches the
+      // journal, and the store keeps only what the shards saved so far —
+      // recovery resumes from there.
       if (crash_point_of(req) == runtime::CrashPoint::kMidShard &&
           !job->crashed.exchange(true, std::memory_order_relaxed)) {
         metrics_.counter("qs_injected_crashes_total").inc();
@@ -1398,6 +1465,13 @@ void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
   {
     // progress() snapshots may still be racing the final shard.
     std::lock_guard<std::mutex> lock(job->merge_mutex);
+    // A failed job saves its unsaved shards once, so a resubmission under
+    // the client's key resumes them. Not under a journal key (the terminal
+    // record makes the snapshot unreadable) nor after a simulated crash (a
+    // dead process saves nothing).
+    if (!job->status.ok() && job->unsaved_shards > 0 && !job->journal_key &&
+        !job->crashed.load(std::memory_order_relaxed))
+      save_checkpoint_locked(*job);
     job->assembled = true;
     result.status = job->status;
     result.histogram = std::move(job->merged);
@@ -1425,21 +1499,21 @@ void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
   }
   result.stats.final_state_cache_hit = job->final_cache_hit;
   result.stats.final_state_cache_tier = job->final_tier;
-  // Simulated pre-completion death: every shard ran and checkpointed, but
-  // the result never reaches the journal or the client — recovery
-  // reassembles it from the checkpoint alone (the non-OK status below
-  // also keeps the checkpoint from being removed).
+  // Simulated pre-completion death: every shard ran, but the result never
+  // reaches the journal or the client — recovery resumes from whatever
+  // the shards saved (possibly nothing) and reassembles the same bytes.
   if (result.status.ok() &&
       crash_point_of(job->request) == runtime::CrashPoint::kPreComplete &&
       !job->crashed.exchange(true, std::memory_order_relaxed)) {
     metrics_.counter("qs_injected_crashes_total").inc();
     result.status = crash_status(runtime::CrashPoint::kPreComplete);
   }
-  // A finished job's checkpoint has served its purpose; a failed,
-  // cancelled or timed-out job keeps its snapshot so a resubmission with
-  // the same key resumes from the completed shards.
-  if (job->checkpoint_fp != 0 && options_.checkpoint_store &&
-      result.status.ok())
+  // A finished job's snapshot has served its purpose, and so has a failed
+  // job's under a journal key. A failed, cancelled or timed-out job keeps
+  // a client-keyed snapshot so a resubmission resumes from it.
+  if (job->snapshot_stored &&
+      !job->crashed.load(std::memory_order_relaxed) &&
+      (result.status.ok() || job->journal_key))
     options_.checkpoint_store->remove(job->request.checkpoint_key);
   resolve(job, std::move(result));
 }

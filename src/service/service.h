@@ -23,6 +23,8 @@
 //                    timed-out | failed } -> JobHandle fulfilled
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -91,10 +93,11 @@ struct ServiceOptions {
   std::chrono::microseconds shard_time_budget{0};
   /// Crash-safe checkpoint/resume (null = disabled). Jobs submitted with a
   /// non-empty checkpoint_key snapshot their merged partial histogram and
-  /// shard cursor here after every completed shard, and a resubmission
-  /// with the same key re-runs only the unfinished shards. Over a
-  /// memory-only ArtifactStore, snapshots live as long as the process;
-  /// over a disk store they survive restarts.
+  /// shard cursor here once the unsaved shard work outweighs a save many
+  /// times over, and once more when they fail; a resubmission with the
+  /// same key re-runs only the unsaved shards. Over a memory-only
+  /// ArtifactStore, snapshots live as long as the process; over a disk
+  /// store they survive restarts.
   std::shared_ptr<StoreCheckpointStore> checkpoint_store;
   /// Terminal-measurement sampling fast path: shot-deterministic gate jobs
   /// (perfect model, terminal measures, no conditionals) evolve once and
@@ -332,7 +335,8 @@ class QuantumService {
   CancelToken attempt_token(const JobState& job) const;
 
   /// Snapshots the job's merge state to the checkpoint store (no-op when
-  /// checkpointing is off for this job). Caller holds merge_mutex.
+  /// checkpointing is off for this job) and folds the save's time into
+  /// checkpoint_save_cost_. Caller holds merge_mutex.
   void save_checkpoint_locked(JobState& job);
 
   /// Shared body of submit/try_submit: idempotency lookup, journal
@@ -392,6 +396,9 @@ class QuantumService {
 
   std::uint64_t next_job_id_ = 1;     // under control_mutex_
   std::uint64_t dispatch_counter_ = 0;  // dispatcher thread only
+  /// Running estimate of one checkpoint save, shared by every job: the
+  /// yardstick of the checkpoint cost rule (service.cpp).
+  std::atomic<std::chrono::nanoseconds> checkpoint_save_cost_;
 
   std::thread dispatcher_;  // last member: starts after everything is built
 };

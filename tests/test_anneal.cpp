@@ -491,6 +491,13 @@ TEST(DigitalAnnealer, MatchesBruteForceOnRandom) {
   EXPECT_NEAR(e, q.brute_force_minimum().second, 1e-9);
 }
 
+TEST(DigitalAnnealer, ZeroRestartsRejected) {
+  // Zero restarts would leave no assignment to return.
+  DigitalAnnealerParams params;
+  params.restarts = 0;
+  EXPECT_THROW(DigitalAnnealer{params}, std::invalid_argument);
+}
+
 TEST(DigitalAnnealer, CapacityGuard) {
   EXPECT_TRUE(DigitalAnnealer::fits(8192));
   EXPECT_FALSE(DigitalAnnealer::fits(8193));

@@ -355,6 +355,102 @@ TEST(ServiceRecovery, RestartedServiceContinuesJobIdSequence) {
   ASSERT_TRUE(h.get().status.ok());
 }
 
+// ------------------------------------------------ checkpoint cost rule ----
+
+/// Checkpoint files a store directory holds (one per snapshot key).
+std::size_t checkpoint_files(const std::filesystem::path& dir) {
+  const std::string prefix =
+      store::to_string(store::ArtifactKind::kCheckpoint);
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  return n;
+}
+
+TEST(CheckpointCostRule, CheapJournaledJobNeverCheckpoints) {
+  // Four shards of microseconds each: a save would cost more than the
+  // rework it could spare, so the job neither saves nor removes one.
+  TempDir dir("qs_journal_test_cheap");
+  QuantumService svc(perfect_gate(2), base_options(dir.str()));
+  ASSERT_NE(svc.journal(), nullptr);
+  const RunResult r =
+      svc.submit(RunRequest::gate(ghz_program(2), 64, /*seed=*/3)).get();
+  ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_EQ(r.stats.shards, 4u);
+  EXPECT_EQ(svc.metrics().counter("qs_checkpoint_saves_total").value(), 0u);
+  EXPECT_EQ(svc.store_ptr()->memory_entries(store::ArtifactKind::kCheckpoint),
+            0u);
+  EXPECT_EQ(checkpoint_files(dir.path), 0u);
+}
+
+TEST(CheckpointCostRule, SlowShardsCheckpointAndResumeAfterCrash) {
+  // 100 ms shards outweigh a save many times over, so the first shard
+  // saves before the simulated mid-shard death and the restarted service
+  // resumes from it, byte-identically.
+  const qasm::Program program = ghz_program(4);
+  const std::size_t shots = 64;  // 4 shards
+  const std::uint64_t seed = 11;
+  Histogram reference;
+  {
+    QuantumService ref(perfect_gate(4), base_options(""));
+    const RunResult r = ref.submit(RunRequest::gate(program, shots, seed)).get();
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    reference = r.histogram;
+  }
+
+  TempDir dir("qs_journal_test_slow_resume");
+  ServiceOptions opts = base_options(dir.str());
+  opts.workers = 1;
+  {
+    QuantumService victim(perfect_gate(4), opts);
+    RunRequest doomed = RunRequest::gate(program, shots, seed);
+    doomed.idempotency_key = "slow-key";
+    auto plan = std::make_shared<FaultPlan>();
+    plan->shard_latency = 100ms;
+    plan->crash_point = CrashPoint::kMidShard;
+    doomed.faults = plan;
+    const RunResult killed = victim.submit(std::move(doomed)).get();
+    EXPECT_EQ(killed.status.code(), StatusCode::kUnavailable);
+    EXPECT_GE(victim.metrics().counter("qs_checkpoint_saves_total").value(),
+              1u);
+  }
+  EXPECT_EQ(checkpoint_files(dir.path), 1u);
+
+  QuantumService successor(perfect_gate(4), opts);
+  RunRequest dup = RunRequest::gate(program, shots, seed);
+  dup.idempotency_key = "slow-key";
+  const RunResult result = successor.submit(std::move(dup)).get();
+  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
+  EXPECT_TRUE(result.stats.journal_recovered || result.stats.idempotent_hit);
+  EXPECT_GE(result.stats.shards_resumed, 1u);
+  EXPECT_EQ(result.histogram.counts(), reference.counts());
+  // The finished job removed the snapshot it resumed from.
+  EXPECT_EQ(checkpoint_files(dir.path), 0u);
+}
+
+TEST(CheckpointCostRule, FailedJournaledJobLeavesNoSnapshot) {
+  // A failed job's terminal record marks it finished, and a resubmission
+  // gets a new id, so its qsj-<id> snapshot could never be read again.
+  TempDir dir("qs_journal_test_orphan");
+  ServiceOptions opts = base_options(dir.str());
+  opts.workers = 1;  // sequential shards: 0 and 1 save, 2 fails
+  opts.max_shard_retries = 0;
+  QuantumService svc(perfect_gate(3), opts);
+  RunRequest req = RunRequest::gate(ghz_program(3), 64, /*seed=*/2);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->shard_latency = 50ms;
+  plan->shard_faults = {{/*shard_index=*/2, /*failures=*/10}};
+  req.faults = plan;
+  JobHandle h = svc.submit(std::move(req));
+  const RunResult r = h.get();
+  EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
+  EXPECT_GE(svc.metrics().counter("qs_checkpoint_saves_total").value(), 1u);
+  EXPECT_FALSE(svc.options()
+                   .checkpoint_store->load("qsj-" + std::to_string(h.id()))
+                   .has_value());
+  EXPECT_EQ(checkpoint_files(dir.path), 0u);
+}
+
 // --------------------------------------------------- idempotency key ----
 
 TEST(ServiceRecovery, JournalServedDuplicateKeepsEveryStat) {
