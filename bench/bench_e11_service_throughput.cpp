@@ -1,6 +1,7 @@
 // E11 — Execution-service throughput: jobs/sec and shots/sec vs. worker
-// count on a fixed kernel mix, cache-on vs. cache-off, plus overload
-// shedding (try_submit rejection rate against a full queue).
+// count on a fixed kernel mix, cache-on vs. cache-off (a store budget no
+// entry fits), plus overload shedding (try_submit rejection rate against a
+// full queue).
 //
 // The paper's host/accelerator split (Figures 1/3/8) says nothing about
 // serving: this bench measures the layer that batches, schedules, caches
@@ -15,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,6 +27,17 @@
 namespace {
 
 using namespace qs;
+
+/// A perfect-model gate backend; `sampling` off puts every service job on
+/// per-shot trajectories.
+runtime::GateAccelerator perfect_gate(std::size_t qubits,
+                                      bool sampling = true) {
+  runtime::GateAccelerator gate(compiler::Platform::perfect(qubits));
+  sim::SimOptions sim_options;
+  sim_options.sampling = sampling;
+  gate.set_sim_options(sim_options);
+  return gate;
+}
 
 qasm::Program ghz_kernel(std::size_t n) {
   compiler::Program p("ghz" + std::to_string(n), n);
@@ -43,16 +56,16 @@ struct ConfigResult {
 };
 
 ConfigResult run_config(const std::vector<qasm::Program>& kernels,
-                        std::size_t workers, bool cache_enabled,
+                        std::size_t workers, bool cached,
                         std::size_t jobs, std::size_t shots) {
   service::ServiceOptions opts;
   opts.workers = workers;
   opts.queue_capacity = jobs + 1;
   opts.shard_shots = 128;  // fixed: shard seeds must not depend on workers
-  opts.cache_enabled = cache_enabled;
+  // Cache off: a store budget no entry fits, so every job compiles.
+  if (!cached) opts.store_memory_bytes = 1;
 
-  service::QuantumService svc(
-      runtime::GateAccelerator(compiler::Platform::perfect(12)), opts);
+  service::QuantumService svc(perfect_gate(12), opts);
 
   std::vector<service::JobHandle> handles;
   const auto start = std::chrono::steady_clock::now();
@@ -72,7 +85,7 @@ ConfigResult run_config(const std::vector<qasm::Program>& kernels,
   const auto end = std::chrono::steady_clock::now();
 
   r.workers = workers;
-  r.cache = cache_enabled;
+  r.cache = cached;
   r.seconds = std::chrono::duration<double>(end - start).count();
   r.jobs_per_sec = static_cast<double>(jobs) / r.seconds;
   r.shots_per_sec = static_cast<double>(jobs * shots) / r.seconds;
@@ -81,9 +94,9 @@ ConfigResult run_config(const std::vector<qasm::Program>& kernels,
 }
 
 /// Intra-shot kernel-thread sweep: fixed workers, per-job sim_threads.
-/// Oversubscription clamping is disabled so the requested budget always
-/// reaches the kernels; the merged histogram must be identical at every
-/// thread count (the kernel layer's bit-identity contract).
+/// The service grants min(requested, hardware_concurrency / workers)
+/// kernel threads per shard; the merged histogram must be identical at
+/// every thread count (the kernel layer's bit-identity contract).
 ConfigResult run_threads_config(const qasm::Program& kernel,
                                 std::size_t workers,
                                 std::size_t sim_threads, std::size_t jobs,
@@ -92,10 +105,10 @@ ConfigResult run_threads_config(const qasm::Program& kernel,
   opts.workers = workers;
   opts.queue_capacity = jobs + 1;
   opts.shard_shots = 128;
-  opts.clamp_sim_threads = false;  // force the requested kernel budget
 
-  service::QuantumService svc(
-      runtime::GateAccelerator(compiler::Platform::perfect(16)), opts);
+  // Sampling off: a sampled job evolves once per service and then hits the
+  // final-state cache, which would leave the kernel threads nothing to do.
+  service::QuantumService svc(perfect_gate(16, /*sampling=*/false), opts);
 
   std::vector<service::JobHandle> handles;
   const auto start = std::chrono::steady_clock::now();
@@ -164,39 +177,49 @@ int main() {
     }
   }
 
-  std::printf("\nscaling 4w/1w (cache on): %.2fx  [target >= 2x on a >=4-core "
+  std::printf("\ncache off = a 1-byte store budget: no compiled program or "
+              "final state fits,\nso every job compiles and evolves.\n");
+  std::printf("scaling 4w/1w (cache on): %.2fx  [target >= 2x on a >=4-core "
               "machine; 1.0x expected on a single core]\n",
               shots_4w_cached / shots_1w_cached);
   std::printf("merged histogram identical across all configs: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM BROKEN");
 
   // ---- Intra-shot kernel threads (per-job sim_threads budget) -----------
-  // A single deep 16-qubit kernel so the state-vector kernels are above
-  // the parallel threshold. Sweeping sim_threads must change only the
-  // wall-clock, never the merged histogram.
-  std::printf("\nintra-shot kernel threads (ghz16, workers=2, clamp off):\n\n");
+  // A single 16-qubit kernel on per-shot trajectories, so the state-vector
+  // kernels run every shot above the parallel threshold. Sweeping
+  // sim_threads must change only the wall-clock, never the merged
+  // histogram.
+  // One worker, so the clamp to hardware_concurrency / workers leaves the
+  // whole machine to the kernels of a single shard.
+  const std::size_t hw =
+      std::max<unsigned>(std::thread::hardware_concurrency(), 1u);
+  std::printf("\nintra-shot kernel threads (ghz16 trajectories, workers=1, "
+              "%zu hardware threads):\n\n",
+              hw);
   qasm::Program deep = ghz_kernel(16);
-  bench::Table t2({12, 9, 10, 12});
-  t2.header({"sim_threads", "sec", "jobs/s", "shots/s"});
+  bench::Table t2({12, 9, 9, 10, 12});
+  t2.header({"sim_threads", "granted", "sec", "jobs/s", "shots/s"});
 
   std::map<std::string, std::size_t> t_reference;
   bool t_deterministic = true;
   for (std::size_t sim_threads : {1u, 2u, 4u}) {
     const ConfigResult r =
-        run_threads_config(deep, /*workers=*/2, sim_threads, /*jobs=*/6,
+        run_threads_config(deep, /*workers=*/1, sim_threads, /*jobs=*/6,
                            /*shots=*/256);
     if (sim_threads == 1)
       t_reference = r.first_histogram;
     else if (r.first_histogram != t_reference)
       t_deterministic = false;
-    t2.row({bench::fmt_int(sim_threads), bench::fmt(r.seconds, 3),
-            bench::fmt(r.jobs_per_sec, 2), bench::fmt(r.shots_per_sec, 1)});
+    t2.row({bench::fmt_int(sim_threads),
+            bench::fmt_int(std::min(sim_threads, hw)),
+            bench::fmt(r.seconds, 3), bench::fmt(r.jobs_per_sec, 2),
+            bench::fmt(r.shots_per_sec, 1)});
   }
   std::printf("\nhistogram identical across sim_threads: %s\n",
               t_deterministic ? "yes" : "NO — DETERMINISM BROKEN");
   std::printf("(speedup from sim_threads appears on multi-core hosts; the "
-              "clamp\n keeps workers x kernel-threads <= cores in "
-              "production configs.)\n");
+              "clamp\n keeps workers x kernel-threads <= cores.)\n");
 
   // ---- Sampling fast path + FinalStateCache (serving view) --------------
   // The same repeated-kernel workload with the terminal-measurement
@@ -217,9 +240,7 @@ int main() {
       opts.workers = 2;
       opts.queue_capacity = 16;
       opts.shard_shots = 128;
-      opts.sampling_enabled = sampling;
-      service::QuantumService svc(
-          runtime::GateAccelerator(compiler::Platform::perfect(16)), opts);
+      service::QuantumService svc(perfect_gate(16, sampling), opts);
       std::vector<service::JobHandle> handles;
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t j = 0; j < 12; ++j)
@@ -262,8 +283,7 @@ int main() {
       opts.queue_capacity = 16;
       opts.shard_shots = 128;
       opts.store_dir = store_dir.string();
-      service::QuantumService svc(
-          runtime::GateAccelerator(compiler::Platform::perfect(16)), opts);
+      service::QuantumService svc(perfect_gate(16), opts);
       std::vector<service::JobHandle> handles;
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t j = 0; j < 12; ++j)
@@ -281,8 +301,7 @@ int main() {
               bench::fmt_int(svc.metrics()
                                  .counter("qs_store_hits_total{tier=\"disk\"}")
                                  .value()),
-              bench::fmt_int(
-                  svc.metrics().counter("qs_cache_misses_total").value())});
+              bench::fmt_int(svc.cache().misses())});
     }  // each service dies between runs; only the store directory survives
     std::filesystem::remove_all(store_dir);
 
@@ -319,13 +338,13 @@ int main() {
       opts.workers = 2;
       opts.queue_capacity = 32;
       opts.shard_shots = 128;
-      opts.sampling_enabled = false;  // accelerator-bound jobs
       opts.store_dir = journal_dir.string();
       opts.journal_enabled = (mode > 0);
       opts.sync_writes = (mode == 2);
       {
-        service::QuantumService svc(
-            runtime::GateAccelerator(compiler::Platform::perfect(14)), opts);
+        // Sampling off: accelerator-bound jobs.
+        service::QuantumService svc(perfect_gate(14, /*sampling=*/false),
+                                    opts);
         std::vector<service::JobHandle> handles;
         const auto start = std::chrono::steady_clock::now();
         for (std::size_t j = 0; j < 16; ++j) {
@@ -367,8 +386,7 @@ int main() {
     opts.queue_capacity = 8;
     opts.shard_shots = 128;
     opts.start_paused = true;
-    service::QuantumService svc(
-        runtime::GateAccelerator(compiler::Platform::perfect(12)), opts);
+    service::QuantumService svc(perfect_gate(12), opts);
 
     constexpr std::size_t kBurst = 64;
     std::vector<service::JobHandle> burst;

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -155,11 +156,13 @@ void run_determinism() {
 void run_overload() {
   service::ServiceOptions sopts;
   sopts.workers = 1;
-  sopts.queue_capacity = 32;       // small queue: pressure shows up fast
-  sopts.sampling_enabled = false;  // jobs cost real work (~ms each)
+  sopts.queue_capacity = 32;  // small queue: pressure shows up fast
   sopts.shard_shots = 128;
-  service::QuantumService svc(
-      runtime::GateAccelerator(compiler::Platform::perfect(8)), sopts);
+  runtime::GateAccelerator gate(compiler::Platform::perfect(8));
+  sim::SimOptions sim_options;
+  sim_options.sampling = false;  // jobs cost real work (~ms each)
+  gate.set_sim_options(sim_options);
+  service::QuantumService svc(std::move(gate), sopts);
   gateway::GatewayOptions gopts;
   gopts.default_quota.submit_rate = 1e9;
   gopts.default_quota.burst = 1e9;

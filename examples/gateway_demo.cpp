@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "compiler/kernel.h"
 #include "gateway/client.h"
@@ -29,10 +30,12 @@ int main() {
   // --- Server side: a 2-worker service behind the gateway ------------------
   service::ServiceOptions sopts;
   sopts.workers = 2;
-  sopts.sampling_enabled = false;  // per-shot work, so progress is visible
   sopts.shard_shots = 64;
-  service::QuantumService svc(
-      runtime::GateAccelerator(compiler::Platform::perfect(8)), sopts);
+  runtime::GateAccelerator gate(compiler::Platform::perfect(8));
+  sim::SimOptions sim_options;
+  sim_options.sampling = false;  // per-shot work, so progress is visible
+  gate.set_sim_options(sim_options);
+  service::QuantumService svc(std::move(gate), sopts);
 
   gateway::GatewayOptions gopts;
   gopts.tenant_quotas["demo"] =

@@ -121,25 +121,29 @@ DifferentialHarness::DifferentialHarness(Options options)
     : options_(options), impl_(std::make_unique<Impl>(options)) {
   if (!options_.with_service) return;
 
-  auto make_options = [&](std::size_t workers, bool sampling) {
+  auto make_options = [&](std::size_t workers) {
     service::ServiceOptions so;
     so.workers = workers;
     so.shard_shots = options_.shard_shots;
     so.queue_capacity = 64;
-    so.sampling_enabled = sampling;
     so.retry_backoff.initial = std::chrono::microseconds(1);
     so.retry_backoff.cap = std::chrono::microseconds(10);
     return so;
   };
-  auto gate = [&] {
-    return GateAccelerator(compiler::Platform::perfect(options_.platform_qubits));
+  // Sampling off puts every job of the service on per-shot trajectories.
+  auto gate = [&](bool sampling = true) {
+    GateAccelerator g(compiler::Platform::perfect(options_.platform_qubits));
+    sim::SimOptions so = g.sim_options();
+    so.sampling = sampling;
+    g.set_sim_options(so);
+    return g;
   };
 
   impl_->services.resize(kServiceCount);
   impl_->services[kSvcW1] = std::make_unique<service::QuantumService>(
-      gate(), make_options(1, true));
+      gate(), make_options(1));
   impl_->services[kSvcW4] = std::make_unique<service::QuantumService>(
-      gate(), make_options(4, true));
+      gate(), make_options(4));
 
   // Two-backend pool: b1 is the one fault plans crash, so shards re-route
   // to b0. A short breaker cooldown lets b1 walk back through half-open
@@ -156,14 +160,14 @@ DifferentialHarness::DifferentialHarness(Options options)
       throw std::runtime_error("fuzz harness: " + st.to_string());
   }
   impl_->services[kSvcPool] = std::make_unique<service::QuantumService>(
-      std::move(pool), make_options(2, true));
+      std::move(pool), make_options(2));
 
   impl_->services[kSvcOffW1] = std::make_unique<service::QuantumService>(
-      gate(), make_options(1, false));
+      gate(/*sampling=*/false), make_options(1));
   impl_->services[kSvcOffW2] = std::make_unique<service::QuantumService>(
-      gate(), make_options(2, false));
+      gate(/*sampling=*/false), make_options(2));
 
-  service::ServiceOptions resume_opts = make_options(1, true);
+  service::ServiceOptions resume_opts = make_options(1);
   resume_opts.checkpoint_store =
       std::make_shared<service::StoreCheckpointStore>(
           std::make_shared<store::ArtifactStore>());
@@ -180,7 +184,7 @@ DifferentialHarness::DifferentialHarness(Options options)
     dir << "qs-fuzz-store-" << std::hex
         << reinterpret_cast<std::uintptr_t>(impl_.get());
     impl_->store_dir = std::filesystem::temp_directory_path() / dir.str();
-    service::ServiceOptions store_opts = make_options(1, true);
+    service::ServiceOptions store_opts = make_options(1);
     store_opts.store_dir = impl_->store_dir.string();
     // The kill-restart config owns journal/durability coverage with its
     // own per-program directories; keep the warm-disk path free of WAL
@@ -194,7 +198,7 @@ DifferentialHarness::DifferentialHarness(Options options)
 
   if (!options_.with_gateway) return;
   impl_->gateway_service = std::make_unique<service::QuantumService>(
-      gate(), make_options(2, true));
+      gate(), make_options(2));
   impl_->gateway = std::make_unique<gateway::GatewayServer>(
       *impl_->gateway_service, gateway::GatewayOptions{});
   Status st = impl_->gateway->start();
@@ -414,7 +418,6 @@ Histogram run_kill_restart(const DifferentialHarness::Options& opts,
     so.workers = 1;
     so.shard_shots = opts.shard_shots;
     so.queue_capacity = 64;
-    so.sampling_enabled = true;
     so.retry_backoff.initial = std::chrono::microseconds(1);
     so.retry_backoff.cap = std::chrono::microseconds(10);
     so.store_dir = dir.string();

@@ -79,9 +79,8 @@ class FinalStateCache {
   std::uint64_t misses() const;  ///< full misses (deepest tier missed)
   std::uint64_t evictions() const;
   /// Entries that skipped the memory tier because a single distribution
-  /// exceeded the whole byte budget (exported as
-  /// qs_store_oversized_total{tier="memory"} and the legacy
-  /// qs_final_state_cache_oversized_total).
+  /// exceeded the whole byte budget (counted, with the compiled programs
+  /// that did not fit either, in qs_store_oversized_total{tier="memory"}).
   std::uint64_t oversized() const;
 
   void clear();  ///< drops the store's memory tier (all kinds)

@@ -27,6 +27,7 @@
 // most recent N terminal pairs, via a durable tmp+rename.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -70,6 +71,11 @@ struct JournalReplay {
   std::size_t truncated_bytes = 0;  ///< torn tail dropped (0 = clean)
 };
 
+/// Terminal results a service keeps for duplicate idempotency keys — the
+/// exactly-once replay window, in memory and through journal compaction.
+/// A key older than the newest kRetainedResults finished keys runs again.
+inline constexpr std::size_t kRetainedResults = 256;
+
 /// The write-ahead journal. Thread-safe; appends may be called from any
 /// worker thread. All I/O failures are reported as `false`, never thrown —
 /// a dead disk degrades durability, it does not take the service down.
@@ -82,7 +88,7 @@ class JobJournal {
     bool sync_writes = true;
     /// Terminal records retained through compaction — the replay window
     /// for duplicate idempotency keys across a restart.
-    std::size_t finished_retention = 256;
+    std::size_t finished_retention = kRetainedResults;
   };
 
   explicit JobJournal(Options options);

@@ -225,9 +225,8 @@ Status ServiceOptions::validate() const {
           "\"] must be > 0 (a zero-weight tenant would never dequeue)");
   if (store_memory_bytes == 0)
     return Status::InvalidArgument(
-        "ServiceOptions: store_memory_bytes must be >= 1 (disable "
-        "memoisation with cache_enabled / final_state_cache_enabled, not a "
-        "zero budget)");
+        "ServiceOptions: store_memory_bytes must be >= 1 (a zero budget "
+        "would silently memoise nothing)");
   return Status::Ok();
 }
 
@@ -359,7 +358,6 @@ QuantumService::QuantumService(std::shared_ptr<BackendPool> backends,
     JobJournal::Options jo;
     jo.directory = options_.store_dir;
     jo.sync_writes = options_.sync_writes;
-    jo.finished_retention = options_.journal_retention;
     journal_ = std::make_unique<JobJournal>(std::move(jo));
     recover_from_journal();
   }
@@ -649,6 +647,15 @@ void QuantumService::resolve_unadmitted(const std::shared_ptr<JobState>& job,
 void QuantumService::finalize_job(const std::shared_ptr<JobState>& job,
                                   const RunResult& result) {
   const bool crashed = job->crashed.load(std::memory_order_relaxed);
+  // A finished job's snapshot has served its purpose, and so has a failed
+  // job's under a journal key: its terminal record makes the snapshot
+  // unreadable. A failed, cancelled or timed-out job keeps a client-keyed
+  // snapshot so a resubmission resumes from it, and a crashed process
+  // removes nothing. Removing before the terminal record means a crash in
+  // between costs a re-run, never an orphaned snapshot.
+  if (job->snapshot_stored && !crashed &&
+      (result.status.ok() || job->journal_key))
+    options_.checkpoint_store->remove(job->request.checkpoint_key);
   if (job->journaled && journal_ && !crashed) {
     if (!journal_->append_terminal(job->id, result))
       metrics_.counter("qs_journal_append_failures_total").inc();
@@ -667,7 +674,7 @@ void QuantumService::finalize_job(const std::shared_ptr<JobState>& job,
   it->second.result = std::make_shared<const RunResult>(result);
   it->second.live.reset();
   idemp_order_.push_back(job->idemp_key);
-  while (idemp_order_.size() > options_.journal_retention) {
+  while (idemp_order_.size() > kRetainedResults) {
     const std::string victim = std::move(idemp_order_.front());
     idemp_order_.pop_front();
     auto vit = idempotency_.find(victim);
@@ -725,6 +732,10 @@ void QuantumService::recover_from_journal() {
     job->recovered = true;
     job->journal_key =
         job->request.checkpoint_key == journal_checkpoint_key(job->id);
+    // The crashed process may have saved under that key. Until dispatch
+    // looks, count the snapshot as stored, so a job that fails before
+    // then still removes it.
+    job->snapshot_stored = job->journal_key && options_.checkpoint_store;
     job->idemp_key = job->request.idempotency_key;
     {
       std::lock_guard<std::mutex> lock(control_mutex_);
@@ -902,11 +913,13 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
                           Status::Internal("compile failed: unknown error"));
       return;
     }
-    // Sampling-path election. Purely a function of the analysis verdict —
-    // never of the FaultPlan or the backend route: sampled shards still
+    // Sampling-path election. Purely a function of the primary gate's
+    // SimOptions::sampling and the analysis verdict — never of the
+    // FaultPlan or the backend route: sampled shards still
     // traverse the full retry/failover machinery, so a faulted run stays
     // byte-identical to a clean one.
-    if (options_.sampling_enabled && job->entry->analysis.samplable) {
+    const bool sampling = primary_gate_->sim_options().sampling;
+    if (sampling && job->entry->analysis.samplable) {
       job->sampled = true;
       job->final_key = final_state_key(
           job->entry->key, primary_gate_->platform().qubit_model,
@@ -915,8 +928,8 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
       metrics_.counter("qs_jobs_sampled_total").inc();
     } else {
       const sim::SamplingFallback reason =
-          options_.sampling_enabled ? job->entry->analysis.fallback
-                                    : sim::SamplingFallback::kDisabled;
+          sampling ? job->entry->analysis.fallback
+                   : sim::SamplingFallback::kDisabled;
       metrics_
           .counter(std::string("qs_sampling_fallback_total{reason=\"") +
                    sim::to_string(reason) + "\"}")
@@ -1006,9 +1019,7 @@ void QuantumService::dispatch(const std::shared_ptr<JobState>& job) {
 }
 
 void QuantumService::record_store_outcome(const store::Outcome& outcome) {
-  // Unified observability for the artifact store, labelled by tier. The
-  // per-cache legacy names (qs_cache_*, qs_final_state_cache_*) keep
-  // emitting for one release — docs/artifact_store.md has the mapping.
+  // Unified observability for the artifact store, labelled by tier.
   if (outcome.tier == store::Tier::kMemory)
     metrics_.counter("qs_store_hits_total{tier=\"memory\"}").inc();
   else if (outcome.tier == store::Tier::kDisk)
@@ -1042,17 +1053,13 @@ std::shared_ptr<const CompiledEntry> QuantumService::resolve_compiled(
       text, compiler::fingerprint(primary_gate_->platform()),
       compiler::fingerprint(primary_gate_->options()));
 
-  if (options_.cache_enabled) {
-    store::Outcome outcome;
-    auto entry = cache_.lookup(key, &outcome);
-    record_store_outcome(outcome);
-    if (entry) {
-      *cache_hit = true;
-      *tier = to_cache_tier(outcome.tier);
-      metrics_.counter("qs_cache_hits_total").inc();
-      return entry;
-    }
-    metrics_.counter("qs_cache_misses_total").inc();
+  store::Outcome lookup;
+  auto cached = cache_.lookup(key, &lookup);
+  record_store_outcome(lookup);
+  if (cached) {
+    *cache_hit = true;
+    *tier = to_cache_tier(lookup.tier);
+    return cached;
   }
 
   auto entry = std::make_shared<CompiledEntry>();
@@ -1072,30 +1079,23 @@ std::shared_ptr<const CompiledEntry> QuantumService::resolve_compiled(
       entry->flat, primary_gate_->platform().qubit_count,
       primary_gate_->platform().qubit_model);
   fuse_compiled_entry(*entry, primary_gate_->platform().qubit_model);
-  if (options_.cache_enabled) {
-    store::Outcome outcome;
-    cache_.insert(key, entry, &outcome);
-    record_store_outcome(outcome);
-  }
+  store::Outcome insert;
+  cache_.insert(key, entry, &insert);
+  record_store_outcome(insert);
   return entry;
 }
 
 std::size_t QuantumService::effective_sim_threads(
     std::size_t job_threads) const {
-  // Per-job budget wins over the service default; both resolve
-  // QS_SIM_THREADS when zero (sim::resolve_sim_threads handles that).
-  const std::size_t want = sim::resolve_sim_threads(
-      job_threads != 0 ? job_threads : options_.sim_threads);
-  if (!options_.clamp_sim_threads) return want;
-  // Shard workers already fan out across cores: cap kernel threads per
-  // shard at hardware_concurrency / workers so total threads stay at or
-  // below the core count. Bit-identity makes this clamp output-invisible.
+  // The job's budget (QS_SIM_THREADS when zero). Shard workers already fan
+  // out across cores: cap kernel threads per shard at
+  // hardware_concurrency / workers so total threads stay at or below the
+  // core count. Bit-identity makes this clamp output-invisible.
   const std::size_t hw =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   const std::size_t per_shard =
-      std::max<std::size_t>(hw / std::max<std::size_t>(pool_.thread_count(), 1),
-                            1);
-  return std::min(want, per_shard);
+      std::max<std::size_t>(hw / pool_.thread_count(), 1);
+  return std::min(sim::resolve_sim_threads(job_threads), per_shard);
 }
 
 // ------------------------------------------------------------- shards ----
@@ -1157,19 +1157,13 @@ void QuantumService::ensure_final_distribution(
   // later caller under ThreadSanitizer's pthread_once interceptor.
   std::lock_guard<std::mutex> lock(job->dist_mutex);
   if (job->final_dist) return;
-  const bool cache_on = options_.final_state_cache_enabled;
-  if (cache_on) {
-    store::Outcome outcome;
-    auto dist = final_cache_.lookup(job->final_key, &outcome);
-    record_store_outcome(outcome);
-    if (dist) {
-      metrics_.counter("qs_final_state_cache_hits_total").inc();
-      job->final_cache_hit = true;
-      job->final_tier = to_cache_tier(outcome.tier);
-      job->final_dist = std::move(dist);
-      return;
-    }
-    metrics_.counter("qs_final_state_cache_misses_total").inc();
+  store::Outcome lookup;
+  job->final_dist = final_cache_.lookup(job->final_key, &lookup);
+  record_store_outcome(lookup);
+  if (job->final_dist) {
+    job->final_cache_hit = true;
+    job->final_tier = to_cache_tier(lookup.tier);
+    return;
   }
   sim::SimOptions sim_options = primary_gate_->sim_options();
   sim_options.threads = effective_sim_threads(job->request.sim_threads);
@@ -1179,16 +1173,9 @@ void QuantumService::ensure_final_distribution(
       primary_gate_->final_distribution(job->entry->flat,
                                         job->entry->analysis, sim_options,
                                         job->entry->fused.get()));
-  if (cache_on) {
-    store::Outcome outcome;
-    const std::size_t evicted =
-        final_cache_.insert(job->final_key, dist, &outcome);
-    record_store_outcome(outcome);
-    if (evicted > 0)
-      metrics_.counter("qs_final_state_cache_evictions_total").inc(evicted);
-    if (outcome.oversized)
-      metrics_.counter("qs_final_state_cache_oversized_total").inc();
-  }
+  store::Outcome insert;
+  final_cache_.insert(job->final_key, dist, &insert);
+  record_store_outcome(insert);
   job->final_dist = std::move(dist);
 }
 
@@ -1202,11 +1189,6 @@ QuantumService::ShardOutput QuantumService::execute_gate_shard(
   // retries or re-routing produces the histogram of a job that never
   // failed, on whatever backend.
   const std::uint64_t seed = derive_stream_seed(req.seed, shard_index);
-  sim::SimOptions sim_options = backend.gate->sim_options();
-  sim_options.threads = effective_sim_threads(req.sim_threads);
-  sim_options.precision = req.precision;
-  sim_options.cancel = token;
-  sim_options.sampling = options_.sampling_enabled;
   ShardOutput out;
   if (job->sampled) {
     // Sampling fast path: the job's shared distribution (cached, or
@@ -1215,7 +1197,16 @@ QuantumService::ShardOutput QuantumService::execute_gate_shard(
     // any other route would produce.
     ensure_final_distribution(job, token);
     out.histogram = sim::sample_histogram(*job->final_dist, count, seed, token);
-  } else if (backend.gate->path() == runtime::GatePath::MicroArch) {
+    return out;
+  }
+  sim::SimOptions sim_options = backend.gate->sim_options();
+  sim_options.threads = effective_sim_threads(req.sim_threads);
+  sim_options.precision = req.precision;
+  sim_options.cancel = token;
+  // The sampling election was made at dispatch: this job runs per-shot
+  // trajectories on whichever backend the shard lands.
+  sim_options.sampling = false;
+  if (backend.gate->path() == runtime::GatePath::MicroArch) {
     out.histogram = job->entry->eqasm
                         ? backend.gate->run_eqasm(*job->entry->eqasm, count,
                                                   seed, sim_options)
@@ -1508,13 +1499,6 @@ void QuantumService::finish_shard(const std::shared_ptr<JobState>& job) {
     metrics_.counter("qs_injected_crashes_total").inc();
     result.status = crash_status(runtime::CrashPoint::kPreComplete);
   }
-  // A finished job's snapshot has served its purpose, and so has a failed
-  // job's under a journal key. A failed, cancelled or timed-out job keeps
-  // a client-keyed snapshot so a resubmission resumes from it.
-  if (job->snapshot_stored &&
-      !job->crashed.load(std::memory_order_relaxed) &&
-      (result.status.ok() || job->journal_key))
-    options_.checkpoint_store->remove(job->request.checkpoint_key);
   resolve(job, std::move(result));
 }
 

@@ -65,15 +65,7 @@ struct ServiceOptions {
   /// changing it changes shard seeds and thus the (still valid) sampled
   /// histogram, so treat it as part of the reproducibility contract.
   std::size_t shard_shots = 256;
-  bool cache_enabled = true;        ///< compiled-program memoisation on/off
   bool start_paused = false;        ///< accept jobs but hold dispatch
-  /// Default intra-shot simulator threads per shard when the job does not
-  /// set its own budget (0 = scalar kernels / QS_SIM_THREADS).
-  std::size_t sim_threads = 0;
-  /// Clamp the per-shard thread budget to hardware_concurrency / workers so
-  /// shard workers and kernel threads never oversubscribe the machine.
-  /// Disable to force the requested budget (thread-scaling benchmarks).
-  bool clamp_sim_threads = true;
   /// Retry budget per shard for transient failures (a shard runs at most
   /// 1 + max_shard_retries times). Retries re-derive the same RNG stream,
   /// so a job that succeeds after retries produces the histogram of a job
@@ -99,16 +91,6 @@ struct ServiceOptions {
   /// ArtifactStore, snapshots live as long as the process; over a disk
   /// store they survive restarts.
   std::shared_ptr<StoreCheckpointStore> checkpoint_store;
-  /// Terminal-measurement sampling fast path: shot-deterministic gate jobs
-  /// (perfect model, terminal measures, no conditionals) evolve once and
-  /// sample all shots from the final distribution. Off forces the
-  /// per-shot trajectory path for every job (A/B benchmarking).
-  bool sampling_enabled = true;
-  /// Final-state memoisation, which lets repeated submissions of the same
-  /// circuit skip even the single evolution. Off = each sampled job still
-  /// evolves exactly once. (Replaces `final_state_cache_bytes = 0`; the
-  /// byte budget now lives in `store_memory_bytes`.)
-  bool final_state_cache_enabled = true;
 
   // ---- Artifact store (the memo substrate behind both caches) -----------
   /// Byte budget of the store's in-memory LRU tier, shared by compiled
@@ -140,10 +122,6 @@ struct ServiceOptions {
   /// service builds its own store. Tests and benches that churn many
   /// artifacts can turn it off.
   bool sync_writes = true;
-  /// Terminal results retained for duplicate idempotency keys — the
-  /// exactly-once replay window, both in memory and through journal
-  /// compaction.
-  std::size_t journal_retention = 256;
 
   /// kInvalidArgument on configurations that would misbehave silently
   /// (zero workers, zero queue capacity, zero shard size, non-positive
@@ -270,9 +248,9 @@ class QuantumService {
   /// against `tenant`.
   JobHandle rejected_handle(Status status, const std::string& tenant);
 
-  /// Fulfils the job's promise (and legacy promise, if any), bumps the
-  /// terminal-state metric for result.status, and releases the inflight
-  /// slot. Every dispatched job resolves through here exactly once.
+  /// Fulfils the job's promise, bumps the terminal-state metric for
+  /// result.status, and releases the inflight slot. Every dispatched job
+  /// resolves through here exactly once.
   void resolve(const std::shared_ptr<JobState>& job, RunResult result);
 
   /// Fulfils a job that was refused admission (already counted rejected).
@@ -325,9 +303,9 @@ class QuantumService {
                                    const CancelToken& token);
   void finish_shard(const std::shared_ptr<JobState>& job);
 
-  /// Final bookkeeping after a job's promise is fulfilled (or abandoned on
-  /// a legacy admission failure): drops the progress-registry entry, the
-  /// tenant inflight gauge and the service inflight count.
+  /// Final bookkeeping after a job's promise is fulfilled: drops the
+  /// progress-registry entry, the tenant inflight gauge and the service
+  /// inflight count.
   void job_done(const std::shared_ptr<JobState>& job);
 
   /// Per-attempt cancel token: the job deadline combined with the
@@ -348,9 +326,10 @@ class QuantumService {
   /// admitted-but-unfinished jobs under their original ids, compacts.
   void recover_from_journal();
 
-  /// Terminal bookkeeping shared by every resolution path: appends the
-  /// journal's terminal record and settles the idempotency entry (stores
-  /// the result, or erases the entry for a simulated crash).
+  /// Terminal bookkeeping shared by every resolution path: removes the
+  /// job's checkpoint snapshot once nothing can resume from it, appends
+  /// the journal's terminal record and settles the idempotency entry
+  /// (stores the result, or erases the entry for a simulated crash).
   void finalize_job(const std::shared_ptr<JobState>& job,
                     const RunResult& result);
 
@@ -378,7 +357,7 @@ class QuantumService {
   mutable std::mutex idemp_mutex_;
   std::unordered_map<std::string, IdempotencyEntry> idempotency_;
   /// Keys with stored results, oldest first — the eviction order keeping
-  /// the replay window at journal_retention entries.
+  /// the replay window at kRetainedResults entries.
   std::deque<std::string> idemp_order_;
 
   /// Live-job registry backing progress(): id -> state, inserted at

@@ -87,7 +87,8 @@ struct SimOptions {
   /// (see analyze_trajectory) evolve once and draw all shots from the
   /// final distribution. Off forces the per-shot trajectory loop — same
   /// statistics, different (per-trajectory) RNG stream, so fixed-seed
-  /// histograms differ between the two paths by design.
+  /// histograms differ between the two paths by design. A QuantumService
+  /// reads its primary gate backend's setting to elect each job's path.
   bool sampling = true;
 };
 

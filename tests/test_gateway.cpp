@@ -49,6 +49,16 @@ runtime::GateAccelerator perfect_gate(std::size_t qubits) {
   return runtime::GateAccelerator(compiler::Platform::perfect(qubits));
 }
 
+/// A perfect-model gate backend whose service jobs run per-shot
+/// trajectories instead of the sampling fast path.
+runtime::GateAccelerator trajectory_gate(std::size_t qubits) {
+  runtime::GateAccelerator gate = perfect_gate(qubits);
+  sim::SimOptions so;
+  so.sampling = false;
+  gate.set_sim_options(so);
+  return gate;
+}
+
 // ---------------------------------------------------- WeightedFairQueue ----
 
 TEST(WeightedFairQueue, SharesFollowWeightsWithinTenPercent) {
@@ -521,8 +531,9 @@ struct LiveGateway {
   GatewayServer server;
 
   explicit LiveGateway(service::ServiceOptions sopts = {},
-                       GatewayOptions gopts = {})
-      : svc(perfect_gate(8), runtime::AnnealAccelerator(/*capacity=*/8),
+                       GatewayOptions gopts = {},
+                       runtime::GateAccelerator gate = perfect_gate(8))
+      : svc(std::move(gate), runtime::AnnealAccelerator(/*capacity=*/8),
             std::move(sopts)),
         server(svc, std::move(gopts)) {
     const Status s = server.start();
@@ -759,9 +770,9 @@ TEST(GatewayEndToEnd, CancelResolvesToCancelled) {
 
 TEST(GatewayEndToEnd, StreamProgressDeliversShardSnapshots) {
   service::ServiceOptions sopts;
-  sopts.sampling_enabled = false;  // force per-shot work so shards take time
   sopts.shard_shots = 64;
-  LiveGateway gw(sopts);
+  // Per-shot trajectories, so shards take time.
+  LiveGateway gw(sopts, {}, trajectory_gate(8));
   GatewayClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", gw.server.port()).ok());
 
@@ -949,9 +960,8 @@ TEST(GatewayEndToEnd, GracefulShutdownRejectsNewWorkAndDrains) {
   GatewayOptions gopts;
   gopts.drain_timeout = std::chrono::milliseconds(5000);
   service::ServiceOptions sopts;
-  sopts.sampling_enabled = false;
   sopts.shard_shots = 64;
-  LiveGateway gw(sopts, gopts);
+  LiveGateway gw(sopts, gopts, trajectory_gate(8));
   GatewayClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", gw.server.port()).ok());
 

@@ -14,7 +14,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stats.h"
@@ -451,6 +453,68 @@ TEST(CheckpointCostRule, FailedJournaledJobLeavesNoSnapshot) {
   EXPECT_EQ(checkpoint_files(dir.path), 0u);
 }
 
+/// Runs a journaled 4-shard job of 100 ms shards that saves a snapshot
+/// and then dies mid-shard, leaving an in-flight journal record and its
+/// qsj-<id> snapshot behind.
+void crash_after_save(QuantumService& victim, std::uint64_t seed,
+                      std::optional<std::chrono::milliseconds> deadline = {}) {
+  RunRequest doomed = RunRequest::gate(ghz_program(4), 64, seed);
+  doomed.deadline = deadline;
+  auto plan = std::make_shared<FaultPlan>();
+  plan->shard_latency = 100ms;
+  plan->crash_point = CrashPoint::kMidShard;
+  doomed.faults = plan;
+  const RunResult killed = victim.submit(std::move(doomed)).get();
+  EXPECT_EQ(killed.status.code(), StatusCode::kUnavailable);
+}
+
+TEST(CheckpointCostRule, RecoveredJobRefusedAtRestartLeavesNoSnapshot) {
+  TempDir dir("qs_journal_test_refused_resume");
+  ServiceOptions opts = base_options(dir.str());
+  opts.workers = 1;
+  {
+    QuantumService victim(perfect_gate(4), opts);
+    crash_after_save(victim, /*seed=*/1);
+    crash_after_save(victim, /*seed=*/2);
+    EXPECT_GE(victim.metrics().counter("qs_checkpoint_saves_total").value(),
+              2u);
+  }
+  ASSERT_EQ(checkpoint_files(dir.path), 2u);
+
+  // Room for one recovered job: the other fails terminally at recovery,
+  // and its snapshot goes with it.
+  opts.queue_capacity = 1;
+  QuantumService successor(perfect_gate(4), opts);
+  EXPECT_EQ(successor.metrics()
+                .counter("qs_journal_recovered_jobs_total")
+                .value(),
+            1u);
+  successor.drain();
+  EXPECT_EQ(checkpoint_files(dir.path), 0u);
+}
+
+TEST(CheckpointCostRule, RecoveredJobExpiringBeforeDispatchLeavesNoSnapshot) {
+  TempDir dir("qs_journal_test_expired_resume");
+  ServiceOptions opts = base_options(dir.str());
+  opts.workers = 1;
+  {
+    QuantumService victim(perfect_gate(4), opts);
+    crash_after_save(victim, /*seed=*/3, /*deadline=*/1000ms);
+  }
+  ASSERT_EQ(checkpoint_files(dir.path), 1u);
+
+  // The deadline re-arms at recovery; holding dispatch past it fails the
+  // job when it is dequeued.
+  opts.start_paused = true;
+  QuantumService successor(perfect_gate(4), opts);
+  std::this_thread::sleep_for(1100ms);
+  successor.resume();
+  successor.drain();
+  EXPECT_EQ(successor.metrics().counter("qs_jobs_timed_out_total").value(),
+            1u);
+  EXPECT_EQ(checkpoint_files(dir.path), 0u);
+}
+
 // --------------------------------------------------- idempotency key ----
 
 TEST(ServiceRecovery, JournalServedDuplicateKeepsEveryStat) {
@@ -531,6 +595,34 @@ TEST(Idempotency, DuplicateKeyAttachesServesAndRejectsMismatch) {
   d.idempotency_key = "dup";
   const RunResult r4 = svc.submit(std::move(d)).get();
   EXPECT_EQ(r4.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Idempotency, StoredResultsAreBoundedToTheRetentionWindow) {
+  QuantumService svc(perfect_gate(2), base_options(""));
+  const qasm::Program program = ghz_program(2);
+  const auto keyed = [&](std::size_t i) {
+    RunRequest req = RunRequest::gate(program, 16, /*seed=*/i);
+    req.idempotency_key = "window-" + std::to_string(i);
+    return req;
+  };
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i <= kRetainedResults; ++i) {
+    JobHandle h = svc.submit(keyed(i));
+    ids.push_back(h.id());
+    ASSERT_TRUE(h.get().status.ok());
+  }
+
+  // The second-oldest key is still inside the window: served, no re-run.
+  JobHandle kept = svc.submit(keyed(1));
+  EXPECT_EQ(kept.id(), ids[1]);
+  EXPECT_TRUE(kept.get().stats.idempotent_hit);
+
+  // The oldest was evicted by the newest: its key runs again, new id.
+  JobHandle rerun = svc.submit(keyed(0));
+  EXPECT_GT(rerun.id(), ids.back());
+  const RunResult r = rerun.get();
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_FALSE(r.stats.idempotent_hit);
 }
 
 // ------------------------------------------------- disk degradation ----

@@ -454,6 +454,16 @@ runtime::GateAccelerator perfect_gate(std::size_t qubits) {
   return runtime::GateAccelerator(compiler::Platform::perfect(qubits));
 }
 
+/// A perfect-model gate backend whose service jobs run per-shot
+/// trajectories instead of the sampling fast path.
+runtime::GateAccelerator trajectory_gate(std::size_t qubits) {
+  runtime::GateAccelerator gate = perfect_gate(qubits);
+  sim::SimOptions so;
+  so.sampling = false;
+  gate.set_sim_options(so);
+  return gate;
+}
+
 TEST(ServiceSampling, ByteIdenticalAcrossWorkerCountsAndTrajectoryToggle) {
   const qasm::Program prog = uniform_program(4);
   std::map<std::string, std::size_t> sampled_counts;
@@ -478,8 +488,7 @@ TEST(ServiceSampling, ByteIdenticalAcrossWorkerCountsAndTrajectoryToggle) {
   service::ServiceOptions opts;
   opts.workers = 2;
   opts.shard_shots = 64;
-  opts.sampling_enabled = false;
-  service::QuantumService svc(perfect_gate(4), opts);
+  service::QuantumService svc(trajectory_gate(4), opts);
   const runtime::RunResult r =
       svc.submit(runtime::RunRequest::gate(prog, 512, /*seed=*/5)).get();
   ASSERT_TRUE(r.ok());
@@ -540,29 +549,13 @@ TEST(ServiceSampling, OversizedDistributionBumpsObservabilityCounter) {
     EXPECT_FALSE(r.stats.final_state_cache_hit);
   }
   EXPECT_EQ(svc.final_state_cache().oversized(), 2u);
-  EXPECT_EQ(
-      svc.metrics().counter("qs_final_state_cache_oversized_total").value(),
-      2u);
-  EXPECT_EQ(svc.metrics().counter("qs_final_state_cache_hits_total").value(),
-            0u);
-}
-
-TEST(ServiceSampling, DisabledFinalStateCacheStillSamples) {
-  service::ServiceOptions opts;
-  opts.workers = 1;
-  opts.final_state_cache_enabled = false;
-  service::QuantumService svc(perfect_gate(3), opts);
-  for (int i = 0; i < 2; ++i) {
-    const runtime::RunResult r =
-        svc.submit(runtime::RunRequest::gate(ghz_program(3), 64, /*seed=*/1))
-            .get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.stats.sampled);
-    EXPECT_FALSE(r.stats.final_state_cache_hit);
-  }
-  EXPECT_EQ(svc.final_state_cache().size(), 0u);
+  // The store's oversized counter also counts the compiled programs, which
+  // do not fit either.
+  EXPECT_EQ(svc.metrics()
+                .counter("qs_store_oversized_total{tier=\"memory\"}")
+                .value(),
+            svc.final_state_cache().oversized() + svc.cache().oversized());
   EXPECT_EQ(svc.final_state_cache().hits(), 0u);
-  EXPECT_EQ(svc.final_state_cache().misses(), 0u);
 }
 
 TEST(ServiceSampling, RetriedShardsProduceByteIdenticalHistogram) {

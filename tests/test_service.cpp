@@ -42,6 +42,16 @@ runtime::GateAccelerator perfect_gate(std::size_t qubits) {
   return runtime::GateAccelerator(compiler::Platform::perfect(qubits));
 }
 
+/// A perfect-model gate backend whose service jobs run per-shot
+/// trajectories instead of the sampling fast path.
+runtime::GateAccelerator trajectory_gate(std::size_t qubits) {
+  runtime::GateAccelerator gate = perfect_gate(qubits);
+  sim::SimOptions so;
+  so.sampling = false;
+  gate.set_sim_options(so);
+  return gate;
+}
+
 /// Spin until the dispatcher has actually sharded a job (bounded wait).
 void wait_for_dispatch(QuantumService& svc, std::uint64_t count = 1) {
   const auto give_up = std::chrono::steady_clock::now() + 10s;
@@ -332,21 +342,10 @@ TEST(QuantumService, RepeatSubmissionsHitTheCompiledProgramCache) {
   EXPECT_EQ(svc.cache().misses(), 1u);
   EXPECT_EQ(svc.cache().hits(), 9u);
   EXPECT_GT(svc.cache().hit_rate(), 0.89);
-  EXPECT_EQ(svc.metrics().counter("qs_cache_hits_total").value(), 9u);
-}
-
-TEST(QuantumService, CacheDisabledNeverReportsHits) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.cache_enabled = false;
-  QuantumService svc(perfect_gate(3), opts);
-  const qasm::Program prog = ghz_program(3);
-  for (int i = 0; i < 3; ++i) {
-    const RunResult r = svc.submit(RunRequest::gate(prog, 32)).get();
-    EXPECT_FALSE(r.stats.compile_cache_hit);
-  }
-  EXPECT_EQ(svc.cache().hits(), 0u);
-  EXPECT_EQ(svc.cache().misses(), 0u);
+  // The store's memory-tier hit counter carries both views' hits.
+  EXPECT_EQ(
+      svc.metrics().counter("qs_store_hits_total{tier=\"memory\"}").value(),
+      svc.cache().hits() + svc.final_state_cache().hits());
 }
 
 TEST(QuantumService, CachedAndUncachedResultsAgree) {
@@ -724,16 +723,21 @@ TEST(QuantumService, MetricsSnapshotCoversServingSignals) {
   for (const char* key :
        {"qs_jobs_submitted_total 4", "qs_jobs_completed_total 4",
         "qs_jobs_dispatched_total 4", "qs_gate_shots_total 400",
-        "qs_cache_hits_total 3", "qs_cache_misses_total 1", "qs_workers 2",
+        // One compile and one evolution, each then served three times.
+        "qs_store_hits_total{tier=\"memory\"} 6",
+        "qs_store_misses_total{tier=\"memory\"} 2", "qs_workers 2",
         "qs_job_wait_us_count", "qs_job_run_us_p99",
-        // Sampling fast path: all 4 GHZ jobs sampled; the first missed the
-        // final-state cache and primed it for the other three.
-        "qs_jobs_sampled_total 4", "qs_final_state_cache_misses_total 1",
-        "qs_final_state_cache_hits_total 3"}) {
+        "qs_jobs_sampled_total 4"}) {
     EXPECT_NE(snapshot.find(key), std::string::npos)
         << "missing '" << key << "' in:\n"
         << snapshot;
   }
+  EXPECT_EQ(svc.cache().hits(), 3u);
+  EXPECT_EQ(svc.cache().misses(), 1u);
+  // Sampling fast path: all 4 GHZ jobs sampled; the first missed the
+  // final-state cache and primed it for the other three.
+  EXPECT_EQ(svc.final_state_cache().misses(), 1u);
+  EXPECT_EQ(svc.final_state_cache().hits(), 3u);
 }
 
 TEST(QuantumService, SamplingFallbackMetricCarriesReasonLabel) {
@@ -757,8 +761,7 @@ TEST(QuantumService, SamplingFallbackMetricCarriesReasonLabel) {
 TEST(QuantumService, SamplingDisabledCountsDisabledFallback) {
   ServiceOptions opts;
   opts.workers = 1;
-  opts.sampling_enabled = false;
-  QuantumService svc(perfect_gate(3), opts);
+  QuantumService svc(trajectory_gate(3), opts);
   const runtime::RunResult r =
       svc.submit(RunRequest::gate(ghz_program(3), 64, 1)).get();
   ASSERT_TRUE(r.ok());
@@ -793,14 +796,14 @@ TEST(QuantumServiceStore, JobStatsReportStoreTiers) {
   EXPECT_EQ(warm.stats.final_state_cache_tier, runtime::CacheTier::kMemory);
   EXPECT_EQ(warm.histogram.counts(), cold.histogram.counts());
 
-  // Unified store metrics carry the same story, labelled by tier; the
-  // legacy per-cache counters keep emitting for one release.
+  // Store metrics carry the same story, labelled by tier, and each cache
+  // view counts its own hits.
   auto& m = svc.metrics();
   EXPECT_GE(m.counter("qs_store_hits_total{tier=\"memory\"}").value(), 2u);
   EXPECT_GE(m.counter("qs_store_misses_total{tier=\"memory\"}").value(), 2u);
   EXPECT_EQ(m.counter("qs_store_hits_total{tier=\"disk\"}").value(), 0u);
-  EXPECT_GE(m.counter("qs_cache_hits_total").value(), 1u);
-  EXPECT_GE(m.counter("qs_final_state_cache_hits_total").value(), 1u);
+  EXPECT_GE(svc.cache().hits(), 1u);
+  EXPECT_GE(svc.final_state_cache().hits(), 1u);
 }
 
 TEST(QuantumServiceStore, ZeroStoreBudgetIsRejectedAtConstruction) {
